@@ -170,8 +170,9 @@ impl Config {
 
     /// The NFA state of a trace's first located packet (a set of
     /// [`ST_AT_HOST`]/[`ST_INGRESS`]/[`ST_EGRESS`] bits; `0` = rejected).
-    /// Exposed crate-internally so the online checker can run the same
-    /// automaton one hop at a time, bit-for-bit with [`admits_trace`].
+    /// With [`step_state`](Config::step_state) and
+    /// [`accepts_end`](Config::accepts_end), the specification the online
+    /// checker's configuration family is tested against bit for bit.
     pub(crate) fn start_state(&self, first: &LocatedPacket) -> u8 {
         if self.is_host(first.loc.sw) {
             ST_AT_HOST
@@ -201,7 +202,7 @@ impl Config {
     }
 
     /// Whether a trace *ending* in `state` at `last` is complete (the
-    /// `allow_prefix == false` acceptance of [`admits_trace`]).
+    /// `allow_prefix == false` acceptance of [`admits_trace`](Config::admits_trace)).
     pub(crate) fn accepts_end(&self, state: u8, last: &LocatedPacket) -> bool {
         state & ST_AT_HOST != 0
             || (state & ST_INGRESS != 0 && self.switch_outputs(last).is_empty())

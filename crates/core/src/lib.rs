@@ -41,6 +41,7 @@ mod correctness;
 mod estructure;
 mod ets;
 mod event;
+mod family;
 mod happens;
 mod locality;
 mod nes;

@@ -21,15 +21,26 @@
 //!    so each live node carries small bitmasks instead of the full relation.
 //!
 //! Per live node the checker keeps: the NFA state of its (virtual-field
-//! erased) packet path under every reachable configuration `g(X)` (one
-//! 3-bit state per configuration, exactly the automaton of
-//! [`Config::admits_trace`](crate::Config::admits_trace)); the set of event
-//! *firings* that happened-before it; and the set of *watched* leaves that
-//! happened-before it. Event firings replay the SWITCH rule greedily: an
-//! unfired event fires at a record when the packet matches and some enabling
-//! set has fired entirely happens-before that record. Each firing appends
-//! `g(X)` to the *realized* configuration sequence — the online image of the
-//! update `g(∅) →e₀ g({e₀}) →e₁ ⋯`.
+//! erased) packet path under every reachable configuration `g(X)`, the
+//! automaton of [`Config::admits_trace`](crate::Config::admits_trace); the
+//! set of event *firings* that happened-before it; and the set of *watched*
+//! leaves that happened-before it. The NFA state is three `u64`
+//! configuration masks — at a host, at a switch ingress, at a switch
+//! egress — and every hop steps all configurations at once. At attach time
+//! the reachable configurations are compiled into a configuration family:
+//! configurations with equal links and hosts share one hashed link set,
+//! and each switch's tables are merged, order-preserving, into one masked
+//! union table whose entries carry the mask of configurations holding the
+//! rule. A link hop is one packet comparison and one hashed probe per link
+//! class; a switch hop walks the union table's matches in priority order,
+//! and each matched rule resolves every still-unresolved configuration in
+//! its mask, its outputs computed once for all of them.
+//!
+//! Event firings replay the SWITCH rule greedily: an unfired event fires at
+//! a record when the packet matches and some enabling set has fired
+//! entirely happens-before that record. Each firing appends `g(X)` to the
+//! *realized* configuration sequence — the online image of the update
+//! `g(∅) →e₀ g({e₀}) →e₁ ⋯`.
 //!
 //! When a path ends, its admitted-configuration set `D` (which
 //! configurations accept the finished path) is intersected against the
@@ -52,11 +63,12 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 
-use netkat::{Loc, Packet};
+use netkat::{FxBuildHasher, Loc, Packet};
 
 use crate::event::{Event, EventId, EventSet};
+use crate::family::{ConfigFamily, Masks};
 use crate::nes::NetworkEventStructure;
 use crate::observe::{LeafKind, TraceObserver};
 use crate::trace::LocatedPacket;
@@ -128,8 +140,8 @@ impl std::error::Error for OnlineViolation {}
 struct Node {
     /// The (virtual-field erased) located packet of this record.
     lp: LocatedPacket,
-    /// NFA state under each reachable configuration (0 = rejected).
-    nfa: Box<[u8]>,
+    /// NFA state under every reachable configuration (no bit = rejected).
+    state: Masks,
     /// Firing positions at strict happens-before ancestors.
     fired_anc: u64,
     /// Watch bits of pending leaves that happened-before this node.
@@ -179,21 +191,26 @@ struct Obligation {
 struct Inner {
     // NES-derived, fixed at construction.
     events: Vec<Event>,
+    /// Indices into `events` by event location, ascending.
+    events_at: HashMap<Loc, Vec<usize>, FxBuildHasher>,
     family: Vec<EventSet>,
-    configs: Vec<crate::config::Config>,
+    /// The reachable configurations, bit `i` = domain index `i`.
+    configs: ConfigFamily,
     domain_index: HashMap<EventSet, u32>,
 
     // Firing state.
     fired_set: EventSet,
     fired_events: Vec<EventId>,
+    /// Firing position of each fired event, by event index.
+    fired_pos: [u8; EventId::MAX_EVENTS],
     realized_order: Vec<u32>,
     realized_mask: u64,
 
     // Live-trace state.
     nodes: BTreeMap<usize, Node>,
     unsealed: Option<usize>,
-    last_at: HashMap<u64, LastAt>,
-    cause_masks: HashMap<usize, (u64, u64)>,
+    last_at: HashMap<u64, LastAt, FxBuildHasher>,
+    cause_masks: HashMap<usize, (u64, u64), FxBuildHasher>,
 
     // Open obligations.
     pending1: Vec<Pending1>,
@@ -201,7 +218,6 @@ struct Inner {
     obligations: Vec<Obligation>,
 
     verdict: Option<Result<(), OnlineViolation>>,
-    finished: bool,
 
     // Telemetry high-waters and counters. These survive `fail`'s state
     // clear: the numbers leading *into* a violation are the interesting
@@ -244,14 +260,11 @@ impl Inner {
 
     /// Which configurations admit the node's finished path.
     fn admitted_mask(&self, node: &Node, allow_prefix: bool) -> u64 {
-        let mut d = 0u64;
-        for (i, cfg) in self.configs.iter().enumerate() {
-            let st = node.nfa[i];
-            if st != 0 && (allow_prefix || cfg.accepts_end(st, &node.lp)) {
-                d |= 1 << i;
-            }
+        if allow_prefix {
+            node.state.live()
+        } else {
+            self.configs.accepting(node.state, &node.lp)
         }
-        d
     }
 
     /// The SWITCH-rule firing condition: packet matches `e`, and some family
@@ -267,14 +280,9 @@ impl Inner {
         self.family.iter().any(|&y| {
             y.contains(e.id)
                 && y.remove(e.id).is_subset(self.fired_set)
-                && y.remove(e.id).iter().all(|x| {
-                    let pos = self
-                        .fired_events
-                        .iter()
-                        .position(|&f| f == x)
-                        .expect("members of fired_set have positions");
-                    node.fired_anc & (1 << pos) != 0
-                })
+                && y.remove(e.id)
+                    .iter()
+                    .all(|x| node.fired_anc & (1 << self.fired_pos[x.index()]) != 0)
         })
     }
 
@@ -348,12 +356,12 @@ impl Inner {
         }
         let Some(mut node) = self.nodes.remove(&idx) else { return };
 
-        // Greedy SWITCH-rule firing: at most one event per record.
-        for i in 0..self.events.len() {
-            let e = self.events[i].clone();
-            if !self.fireable(&e, &node) {
-                continue;
-            }
+        // Greedy SWITCH-rule firing: at most one event per record, the
+        // first fireable one in event order among those at this location.
+        let fire = self.events_at.get(&node.lp.loc).and_then(|at| {
+            at.iter().map(|&i| &self.events[i]).find(|e| self.fireable(e, &node)).map(|e| e.id)
+        });
+        if let Some(id) = fire {
             if self.fired_events.len() == 64 {
                 self.fail(OnlineViolation::CapacityExceeded);
                 return;
@@ -371,8 +379,9 @@ impl Inner {
             }
             let pos = self.fired_events.len();
             let pre_cfg = *self.realized_order.last().expect("realized_order starts at g(∅)");
-            self.fired_set = self.fired_set.insert(e.id);
-            self.fired_events.push(e.id);
+            self.fired_set = self.fired_set.insert(id);
+            self.fired_events.push(id);
+            self.fired_pos[id.index()] = pos as u8;
             let new_cfg = *self
                 .domain_index
                 .get(&self.fired_set)
@@ -400,7 +409,6 @@ impl Inner {
                 });
             }
             node.own_fired = 1 << pos;
-            break;
         }
 
         if node.is_root {
@@ -461,13 +469,15 @@ impl Inner {
 /// assert!(handle.verdict().is_ok());
 /// ```
 pub struct OnlineChecker {
-    shared: Arc<Mutex<Inner>>,
+    inner: Inner,
+    /// Written once by `finish`; read by the [`OnlineHandle`].
+    verdict: Arc<OnceLock<Result<(), OnlineViolation>>>,
 }
 
 /// The reader side of an [`OnlineChecker`]: call
 /// [`verdict`](OnlineHandle::verdict) once the run has finished.
 pub struct OnlineHandle {
-    shared: Arc<Mutex<Inner>>,
+    verdict: Arc<OnceLock<Result<(), OnlineViolation>>>,
 }
 
 impl OnlineChecker {
@@ -493,34 +503,41 @@ impl OnlineChecker {
                 initial_idx = i as u32;
             }
             domain_index.insert(x, i as u32);
-            configs.push(nes.config(x).clone());
+            configs.push(nes.config(x));
+        }
+        let events = nes.events().to_vec();
+        let mut events_at: HashMap<Loc, Vec<usize>, FxBuildHasher> = HashMap::default();
+        for (i, e) in events.iter().enumerate() {
+            events_at.entry(e.loc).or_default().push(i);
         }
         let inner = Inner {
-            events: nes.events().to_vec(),
+            events,
+            events_at,
             family: nes.structure().family().collect(),
-            configs,
+            configs: ConfigFamily::new(&configs),
             domain_index,
             fired_set: EventSet::empty(),
             fired_events: Vec::new(),
+            fired_pos: [0; EventId::MAX_EVENTS],
             realized_order: vec![initial_idx],
             realized_mask: 1u64 << initial_idx,
             nodes: BTreeMap::new(),
             unsealed: None,
-            last_at: HashMap::new(),
-            cause_masks: HashMap::new(),
+            last_at: HashMap::default(),
+            cause_masks: HashMap::default(),
             pending1: Vec::new(),
             pending3: Vec::new(),
             obligations: Vec::new(),
             verdict: None,
-            finished: false,
             m_nodes_hw: 0,
             m_retired: 0,
             m_obligations_hw: 0,
             m_watch_hw: 0,
             flight: None,
         };
-        let shared = Arc::new(Mutex::new(inner));
-        Ok((Box::new(OnlineChecker { shared: shared.clone() }), OnlineHandle { shared }))
+        let verdict = Arc::new(OnceLock::new());
+        let handle = OnlineHandle { verdict: verdict.clone() };
+        Ok((Box::new(OnlineChecker { inner, verdict }), handle))
     }
 }
 
@@ -535,15 +552,13 @@ impl OnlineHandle {
     ///
     /// Panics if the observer's `finish` has not run yet.
     pub fn verdict(&self) -> Result<(), OnlineViolation> {
-        let inner = self.shared.lock().expect("online checker poisoned");
-        assert!(inner.finished, "verdict() requires a finished run");
-        inner.verdict.unwrap_or(Ok(()))
+        *self.verdict.get().expect("verdict() requires a finished run")
     }
 }
 
 impl TraceObserver for OnlineChecker {
     fn record(&mut self, idx: usize, packet: &Packet, loc: Loc, parent: Option<usize>) {
-        let mut inner = self.shared.lock().expect("online checker poisoned");
+        let inner = &mut self.inner;
         inner.seal_pending();
         if inner.dead() {
             return;
@@ -552,15 +567,9 @@ impl TraceObserver for OnlineChecker {
         let mut node = match parent {
             Some(p) => {
                 let pn = inner.nodes.get(&p).expect("parents outlive child records");
-                let nfa = pn
-                    .nfa
-                    .iter()
-                    .zip(&inner.configs)
-                    .map(|(&st, cfg)| if st == 0 { 0 } else { cfg.step_state(st, &pn.lp, &lp) })
-                    .collect();
                 let node = Node {
+                    state: inner.configs.step(pn.state, &pn.lp, &lp),
                     lp,
-                    nfa,
                     fired_anc: pn.fired_anc | pn.own_fired,
                     watch_anc: pn.watch_anc | pn.own_watch,
                     root_pred: pn.root_pred,
@@ -578,7 +587,7 @@ impl TraceObserver for OnlineChecker {
                 node
             }
             None => Node {
-                nfa: inner.configs.iter().map(|cfg| cfg.start_state(&lp)).collect(),
+                state: inner.configs.start(lp.loc),
                 lp,
                 fired_anc: 0,
                 watch_anc: 0,
@@ -605,7 +614,7 @@ impl TraceObserver for OnlineChecker {
     }
 
     fn edge(&mut self, from: usize, to: usize) {
-        let mut inner = self.shared.lock().expect("online checker poisoned");
+        let inner = &mut self.inner;
         if inner.dead() {
             return;
         }
@@ -619,7 +628,7 @@ impl TraceObserver for OnlineChecker {
     }
 
     fn cause(&mut self, idx: usize) {
-        let mut inner = self.shared.lock().expect("online checker poisoned");
+        let inner = &mut self.inner;
         if inner.dead() {
             return;
         }
@@ -630,7 +639,7 @@ impl TraceObserver for OnlineChecker {
     }
 
     fn leaf(&mut self, idx: usize, kind: LeafKind) {
-        let mut inner = self.shared.lock().expect("online checker poisoned");
+        let inner = &mut self.inner;
         if inner.dead() {
             return;
         }
@@ -641,7 +650,7 @@ impl TraceObserver for OnlineChecker {
     }
 
     fn retire(&mut self, idx: usize) {
-        let mut inner = self.shared.lock().expect("online checker poisoned");
+        let inner = &mut self.inner;
         if inner.dead() {
             return;
         }
@@ -658,7 +667,7 @@ impl TraceObserver for OnlineChecker {
     }
 
     fn finish(&mut self) {
-        let mut inner = self.shared.lock().expect("online checker poisoned");
+        let inner = &mut self.inner;
         inner.seal_pending();
         // Nodes alive at the end are stalled tips: their paths are prefixes.
         while let Some((_, mut node)) = inner.nodes.pop_first() {
@@ -678,15 +687,12 @@ impl TraceObserver for OnlineChecker {
                 inner.fail(OnlineViolation::TooLate);
             }
         }
-        if inner.verdict.is_none() {
-            inner.verdict = Some(Ok(()));
-        }
-        inner.finished = true;
+        let _ = self.verdict.set(*inner.verdict.get_or_insert(Ok(())));
     }
 
     fn contribute_metrics(&self, reg: &mut edn_obs::Registry) {
         use edn_obs::Scope;
-        let inner = self.shared.lock().expect("online checker poisoned");
+        let inner = &self.inner;
         reg.gauge_max(Scope::Sim, "checker.live_nodes_hw", inner.m_nodes_hw);
         reg.counter_add(Scope::Sim, "checker.retired_prefixes", inner.m_retired);
         reg.gauge_max(Scope::Sim, "checker.obligations_hw", inner.m_obligations_hw);
@@ -695,7 +701,7 @@ impl TraceObserver for OnlineChecker {
     }
 
     fn attach_flight_recorder(&mut self, recorder: edn_obs::FlightRecorder) {
-        self.shared.lock().expect("online checker poisoned").flight = Some(recorder);
+        self.inner.flight = Some(recorder);
     }
 }
 

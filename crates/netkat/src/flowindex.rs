@@ -123,6 +123,11 @@ struct HashSegment {
     /// rule index carrying that tuple. Collisions are resolved at lookup
     /// time by verifying the candidate and falling back to a run scan.
     map: FingerprintMap,
+    /// `(rule, next rule with the same fingerprint)` pairs, sorted by the
+    /// first index: the rest of each fingerprint's rules after the one in
+    /// `map`, which [`CompiledTable::lookup_index_from`] follows to resume
+    /// mid-run. Empty unless the run repeats a fingerprint.
+    chain: Vec<(u32, u32)>,
 }
 
 /// Fingerprints are already uniformly mixed, so the map skips SipHash and
@@ -175,6 +180,11 @@ impl HashSegment {
         }
         Some(h)
     }
+
+    /// The rule after `rule` carrying the same fingerprint, if any.
+    fn chain_next(&self, rule: u32) -> Option<u32> {
+        self.chain.binary_search_by_key(&rule, |&(k, _)| k).ok().map(|i| self.chain[i].1)
+    }
 }
 
 /// Capacity of the stack-allocated prefetch cache. Tables whose hash
@@ -190,7 +200,17 @@ pub(crate) fn fp_mix(h: u64, value: Value) -> u64 {
     z = z.wrapping_add(FP_SEED);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    let h = z ^ (z >> 31);
+    #[cfg(test)]
+    let h = h & FP_TEST_MASK.with(Cell::get);
+    h
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test-only narrowing of every fingerprint, so property tests can
+    /// force collisions on demand (a 2-bit mask leaves four buckets).
+    static FP_TEST_MASK: Cell<u64> = const { Cell::new(u64::MAX) };
 }
 
 /// A flow table compiled for fast lookup.
@@ -236,21 +256,31 @@ fn segment_runs(rules: &[Rule], lo: usize, hi: usize) -> Vec<Segment> {
         }
         if !sig.is_empty() && j - i >= HASH_RUN_MIN {
             let mut map = FingerprintMap::with_capacity_and_hasher(j - i, Default::default());
+            // Last rule seen per repeated fingerprint; allocated only once a
+            // fingerprint repeats.
+            let mut tails = FingerprintMap::default();
+            let mut chain = Vec::new();
             for (k, rule) in rules.iter().enumerate().take(j).skip(i) {
                 let mut h = FP_SEED;
                 for (_, v) in rule.pattern.iter() {
                     h = fp_mix(h, v);
                 }
                 // First match wins: duplicate tuples keep the
-                // highest-priority rule.
-                map.entry(h).or_insert(k as u32);
+                // highest-priority rule; later ones hang off the chain.
+                let first = *map.entry(h).or_insert(k as u32);
+                if first != k as u32 {
+                    let tail = tails.insert(h, k as u32).unwrap_or(first);
+                    chain.push((tail, k as u32));
+                }
             }
+            chain.sort_unstable();
             segments.push(Segment::Hash(HashSegment {
                 fields: sig,
                 slots: Vec::new(),
                 start: i as u32,
                 end: j as u32,
                 map,
+                chain,
             }));
         } else {
             // Merge adjacent scan runs into one segment.
@@ -380,6 +410,10 @@ impl CompiledTable {
                     for v in seg.map.values_mut() {
                         *v = (*v as i64 + shift) as u32;
                     }
+                    for (k, v) in &mut seg.chain {
+                        *k = (*k as i64 + shift) as u32;
+                        *v = (*v as i64 + shift) as u32;
+                    }
                 }
             }
         }
@@ -462,6 +496,55 @@ impl CompiledTable {
             }
         }
         None
+    }
+
+    /// The index of the first rule at or after `start` that matches `pk`:
+    /// [`lookup_index_on`](CompiledTable::lookup_index_on) with the rules
+    /// before `start` removed. Calling it again from one past each hit
+    /// walks every matching rule in priority order, which is how a table
+    /// whose rules belong to different owners (a union of several tables)
+    /// resolves each owner's first match.
+    ///
+    /// Segments ending at or before `start` are skipped outright. In a
+    /// hash segment the fingerprint chain resumes at the first rule with
+    /// the packet's fingerprint at or after `start`, so a run is never
+    /// rescanned; collisions are told apart by matching each candidate.
+    pub fn lookup_index_from<R: FieldReader>(&self, start: usize, pk: &R) -> Option<usize> {
+        let start = u32::try_from(start).ok()?;
+        let seg_end = |s: &Segment| match s {
+            Segment::Scan { end, .. } => *end,
+            Segment::Hash(seg) => seg.end,
+        };
+        let first = self.segments.partition_point(|s| seg_end(s) <= start);
+        for segment in &self.segments[first..] {
+            match segment {
+                Segment::Scan { start: lo, end } => {
+                    if let Some(i) = self.scan((*lo).max(start), *end, pk) {
+                        return Some(i);
+                    }
+                }
+                Segment::Hash(seg) => {
+                    let Some(fp) = seg.fingerprint_of(pk) else { continue };
+                    let mut candidate = seg.map.get(&fp).copied();
+                    while let Some(i) = candidate {
+                        if i >= start && self.rules[i as usize].pattern.matches_on(pk) {
+                            return Some(i as usize);
+                        }
+                        candidate = seg.chain_next(i);
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    /// The rule at priority index `i` (as returned by the lookups).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn rule(&self, i: usize) -> &Rule {
+        &self.rules[i]
     }
 
     fn scan<R: FieldReader>(&self, start: u32, end: u32, pk: &R) -> Option<usize> {
@@ -971,6 +1054,35 @@ mod proptests {
                     "rule diverged on {}", pk
                 );
             }
+        }
+
+        // Resuming lookups: `lookup_index_from(start, ·)` is the linear
+        // first-match scan over `rules[start..]`, from every start, on
+        // random and blocky tables — first with real fingerprints, then
+        // with fingerprints narrowed to two bits so nearly every lookup
+        // meets a collision and follows a chain past it.
+        #[test]
+        fn lookup_index_from_equals_linear_scan(
+            table in arb_table(),
+            pks in proptest::collection::vec(arb_packet(), 1..6),
+            picks in arb_derivations(),
+        ) {
+            let probes: Vec<Packet> =
+                pks.iter().cloned().chain(derived_packets(&table, &picks)).collect();
+            for mask in [u64::MAX, 0b11] {
+                FP_TEST_MASK.with(|m| m.set(mask));
+                let compiled = table.compile();
+                for pk in &probes {
+                    for start in 0..=table.len() + 1 {
+                        let want =
+                            (start..table.len()).find(|&i| table.rule(i).pattern.matches(pk));
+                        let got = compiled.lookup_index_from(start, pk);
+                        prop_assert_eq!(got, want, "from {} on {} (mask {:#x})", start, pk, mask);
+                    }
+                    prop_assert_eq!(compiled.lookup_index(pk), table.lookup_index(pk));
+                }
+            }
+            FP_TEST_MASK.with(|m| m.set(u64::MAX));
         }
 
         // Structural sanity: segments partition the rule list, and every

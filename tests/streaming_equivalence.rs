@@ -10,11 +10,14 @@
 use edn_apps::generated::firewall_nes;
 use edn_apps::ring::{host, Ring};
 use edn_core::{NetworkEventStructure, NetworkTrace, TraceMode};
+use edn_scenario::{
+    CampaignSpec, ChannelSpec, CompiledScenario, ScenarioSpec, TopologySpec, WorkloadSpec,
+};
 use edn_topo::{
     attach_stream, fat_tree, ring, synthesize, synthesize_arrivals, ArrivalModel, LinkProfile,
     TierProfile, TrafficPattern, Workload,
 };
-use nes_runtime::{attach_online_checker, nes_engine_with_path};
+use nes_runtime::{attach_online_checker, nes_engine_with_path, DeployKnobs};
 use netkat::LookupPath;
 use netsim::traffic::{udp_packet, UdpFlowSpec};
 use netsim::{PacketPath, QueueKind, SimParams, SimTime, SinkHosts, Stats};
@@ -249,6 +252,50 @@ fn online_checker_agrees_with_post_hoc_on_the_ring() {
 #[test]
 fn online_checker_agrees_with_post_hoc_on_the_fat_tree_firewall() {
     assert_online_agrees_with_post_hoc("fat-tree firewall", || fat_tree_scenario(None));
+}
+
+/// A ten-step campaign on fat-tree(4) with causal probes: eleven
+/// configurations, so the checker's masks and union tables carry many
+/// configurations at once (the ring and firewall NESs have two).
+fn fat_tree_campaign() -> CompiledScenario {
+    let spec = ScenarioSpec {
+        name: "fat-tree4-campaign".to_string(),
+        seed: 23,
+        topology: TopologySpec::FatTree(4),
+        horizon: SimTime::ZERO,
+        workload: WorkloadSpec { flows: 12, packets_per_flow: 3, ..WorkloadSpec::default() },
+        campaign: CampaignSpec { updates: 10, probe: true, ..CampaignSpec::default() },
+        channel: ChannelSpec::default(),
+        actions: Vec::new(),
+    };
+    CompiledScenario::compile(&spec).expect("the campaign spec compiles")
+}
+
+/// Runs a scenario engine with a full trace and the online checker
+/// attached; returns the online verdict, the post-hoc one, and the plane.
+fn campaign_verdicts<D: netsim::DataPlane + Send>(
+    c: &CompiledScenario,
+    engine: netsim::Engine<D>,
+) -> (bool, bool, D) {
+    let mut engine = engine.with_trace_mode(TraceMode::Full);
+    let handle = attach_online_checker(&mut engine, &c.nes).expect("11 configurations fit");
+    c.load_traffic(&mut engine, false);
+    c.inject_campaign(&mut engine);
+    let result = engine.run_until(c.horizon);
+    (handle.verdict().is_ok(), post_hoc_verdict(&result.trace, &c.nes), result.dataplane)
+}
+
+#[test]
+fn online_checker_agrees_with_post_hoc_on_a_multi_step_campaign() {
+    let c = fat_tree_campaign();
+    assert_eq!(c.nes.event_sets().len(), 11, "one configuration per step plus g(∅)");
+    let (online, post_hoc, plane) = campaign_verdicts(&c, c.engine_with(DeployKnobs::default()));
+    assert_eq!(plane.fired_sequence().len(), 10, "coordinated: every step fires");
+    assert_eq!(online, post_hoc, "coordinated: online vs post-hoc");
+    assert!(online, "coordinated: the runtime is consistent (Theorem 1)");
+    let (online, post_hoc, _) = campaign_verdicts(&c, c.uncoordinated());
+    assert_eq!(online, post_hoc, "uncoordinated: online vs post-hoc");
+    assert!(!online, "uncoordinated: the baseline is caught");
 }
 
 /// One seeded generated-ring firewall run; mirrors the plumbing suite's
