@@ -6,24 +6,26 @@
 //!
 //! The harness compiles a declarative scenario (see `crates/scenario`): a
 //! fat-tree(8) running a 20-update victim-unblock campaign with causal
-//! probes, under streamed permutation traffic with Pareto flow sizes. Four
-//! legs run in one process — `{throughput, verified} × {scratch, delta}`:
+//! probes, under streamed permutation traffic with Pareto flow sizes. Three
+//! legs run in one process:
 //!
 //! * **throughput** — unchecked, shard count from `EDN_SHARDS`: the raw
 //!   updates/sec the runtime sustains (trigger injection to final firing);
 //! * **verified** — the online Definition 6 checker attached (the engine
 //!   serializes under an observer): the same campaign, now with a verdict;
-//! * **scratch** vs **delta** — the table-construction path
-//!   (`CompilePath`), pinned per leg so the sweep is self-contained: the
-//!   scratch legs recompile every configuration into guarded tables, the
-//!   delta legs diff successive configurations and patch. The *sustained*
-//!   rate charges each leg its own compile time
-//!   (`fired / (compile + run)`), which is where delta compilation pays.
+//! * **lossy** — verified again, over a seeded lossy control channel with
+//!   the ack/retry reliability layer.
 //!
-//! All four legs must report byte-identical `Stats` — checking, sharding,
-//! and the compile path may cost wall time but never change a result. The
-//! CSV goes to stdout; a JSON summary (all legs' rates plus the verdict)
-//! goes to `CAMPAIGN_JSON`.
+//! Each leg reports its run rate (`fired / run time`) and, apart from it,
+//! the up-front deployment cost per configuration (`deploy_us_per_config`:
+//! engine build time over the NES's tag count), so the one-time table
+//! build is not charged against the updates.
+//!
+//! The throughput and verified legs must report byte-identical `Stats` —
+//! checking and sharding may cost wall time but never change a result. The
+//! CSV goes to stdout; a JSON summary (every leg's rates plus the verdict,
+//! stamped with the machine's `nproc` and CPU model) goes to
+//! `CAMPAIGN_JSON`.
 //!
 //! Environment overrides (CI smoke uses small values):
 //! * `CAMPAIGN_FATTREE_K` — fat-tree arity (default `8`: 80 switches, 128
@@ -34,11 +36,10 @@
 //! * `CAMPAIGN_JSON` — where to write the summary (default
 //!   `BENCH_campaign.json`; empty string disables).
 
-use edn_bench::env_u64;
+use edn_bench::{cpu_model, env_u64, nproc};
 use edn_obs::Stopwatch;
 use edn_scenario::{CompiledScenario, ModelSpec, ScenarioSpec, TopologySpec, WorkloadSpec};
 use edn_topo::TrafficPattern;
-use nes_runtime::{CompilePath, DeployKnobs};
 use netsim::{ChannelModel, DropReason, SimTime, Stats};
 use std::fmt::Write as _;
 
@@ -85,23 +86,20 @@ struct Leg {
     stats: Stats,
     datagrams: u64,
     fired: usize,
-    /// Deployment (table construction) time, µs.
-    compile_us: u64,
+    /// Deployment (engine and table build) time, µs.
+    deploy_us: u64,
+    /// Configurations deployed (the NES's tag count).
+    configs: usize,
     /// Run time, µs.
     wall_us: u64,
-    /// Rule adds + removes the delta chain applied (delta legs only).
-    rule_mods: Option<u64>,
     verdict: &'static str,
 }
 
-/// One leg; the compile path is pinned explicitly per leg (the sweep is
-/// self-contained — `EDN_COMPILE` does not affect it), the remaining knobs
-/// come from the environment.
-fn leg(c: &CompiledScenario, check: bool, compile: CompilePath) -> Leg {
-    let knobs = DeployKnobs { compile, ..DeployKnobs::from_env() };
+/// One leg, with the deployment knobs from the environment.
+fn leg(c: &CompiledScenario, check: bool) -> Leg {
     let sw = Stopwatch::start();
-    let mut engine = c.engine_with(knobs);
-    let compile_us = sw.elapsed_us();
+    let mut engine = c.engine();
+    let deploy_us = sw.elapsed_us();
     let handle = check.then(|| {
         nes_runtime::attach_online_checker(&mut engine, &c.nes)
             .expect("a ≤63-step campaign fits the online checker's windows")
@@ -113,13 +111,13 @@ fn leg(c: &CompiledScenario, check: bool, compile: CompilePath) -> Leg {
     let result = engine.run_until(c.horizon);
     let wall_us = sw.elapsed_us();
     let fired = result.dataplane.fired_sequence().len();
-    let rule_mods = result.dataplane.delta_rule_mods();
+    let configs = result.dataplane.compiled().tag_count();
     let verdict = match handle.map(|h| h.verdict()) {
         None => "unchecked",
         Some(Ok(())) => "correct",
         Some(Err(v)) => v.name(),
     };
-    Leg { stats: result.stats, datagrams, fired, compile_us, wall_us, rule_mods, verdict }
+    Leg { stats: result.stats, datagrams, fired, deploy_us, configs, wall_us, verdict }
 }
 
 fn updates_per_sec(fired: usize, us: u64) -> f64 {
@@ -136,59 +134,47 @@ fn main() {
     let spec = campaign_spec(k, updates, seed);
     let c = CompiledScenario::compile(&spec).expect("the campaign spec compiles");
     // Warm-up: one untimed engine build absorbs allocator growth and cold
-    // caches, so the four timed legs compare compile paths, not page faults.
-    drop(c.engine_with(DeployKnobs::from_env()));
+    // caches, so the timed legs measure deployment, not page faults.
+    drop(c.engine());
     let drop_cols = DropReason::ALL.map(|r| format!("drops_{}", r.name())).join(",");
     println!(
-        "leg,compile,updates,fired,datagrams,events,compile_us,wall_us,updates_per_sec,\
-         sustained_updates_per_sec,vm_hwm_kb,verdict,{drop_cols}"
+        "leg,compile,updates,fired,datagrams,events,deploy_us,wall_us,updates_per_sec,\
+         deploy_us_per_config,vm_hwm_kb,verdict,{drop_cols}"
     );
 
+    let compile = nes_runtime::DeployKnobs::from_env().compile.label();
     let mut json = String::new();
     let mut baseline: Option<Stats> = None;
-    for compile in [CompilePath::Scratch, CompilePath::Delta] {
-        for (name, check) in [("throughput", false), ("verified", true)] {
-            let l = leg(&c, check, compile);
-            assert_eq!(l.fired, c.steps.len(), "every campaign step fires");
-            if check {
-                assert_eq!(l.verdict, "correct", "the NES runtime must verify (Theorem 1)");
-            }
-            if let Some(b) = &baseline {
-                assert_eq!(&l.stats, b, "the compile path must not change a byte of the stats");
-            }
-            let rate = updates_per_sec(l.fired, l.wall_us);
-            let sustained = updates_per_sec(l.fired, l.compile_us + l.wall_us);
-            let named = l.stats.dropped.map(|d| d.to_string()).join(",");
-            println!(
-                "{name},{},{updates},{},{},{},{},{},{rate:.2},{sustained:.2},{},{},{named}",
-                compile.label(),
-                l.fired,
-                l.datagrams,
-                l.stats.events_processed,
-                l.compile_us,
-                l.wall_us,
-                vm_hwm_kb(),
-                l.verdict,
-            );
-            if !json.is_empty() {
-                json.push_str(",\n");
-            }
-            let _ = write!(
-                json,
-                "  \"{name}_{}\": {{ \"fired\": {}, \"events\": {}, \"compile_us\": {}, \
-                 \"wall_us\": {}, \"updates_per_sec\": {rate:.2}, \
-                 \"sustained_updates_per_sec\": {sustained:.2}, \"rule_mods\": {}, \
-                 \"verdict\": \"{}\" }}",
-                compile.label(),
-                l.fired,
-                l.stats.events_processed,
-                l.compile_us,
-                l.wall_us,
-                l.rule_mods.map_or_else(|| "null".to_string(), |m| m.to_string()),
-                l.verdict,
-            );
-            baseline = Some(l.stats);
+    for (name, check) in [("throughput", false), ("verified", true)] {
+        let l = leg(&c, check);
+        assert_eq!(l.fired, c.steps.len(), "every campaign step fires");
+        if check {
+            assert_eq!(l.verdict, "correct", "the NES runtime must verify (Theorem 1)");
         }
+        if let Some(b) = &baseline {
+            assert_eq!(&l.stats, b, "checking must not change a byte of the stats");
+        }
+        let rate = updates_per_sec(l.fired, l.wall_us);
+        let per_config = l.deploy_us as f64 / l.configs.max(1) as f64;
+        let named = l.stats.dropped.map(|d| d.to_string()).join(",");
+        println!(
+            "{name},{compile},{updates},{},{},{},{},{},{rate:.2},{per_config:.1},{},{},{named}",
+            l.fired,
+            l.datagrams,
+            l.stats.events_processed,
+            l.deploy_us,
+            l.wall_us,
+            vm_hwm_kb(),
+            l.verdict,
+        );
+        let _ = writeln!(
+            json,
+            "  \"{name}\": {{ \"fired\": {}, \"events\": {}, \"configs\": {}, \
+             \"deploy_us\": {}, \"deploy_us_per_config\": {per_config:.1}, \
+             \"wall_us\": {}, \"updates_per_sec\": {rate:.2}, \"verdict\": \"{}\" }},",
+            l.fired, l.stats.events_processed, l.configs, l.deploy_us, l.wall_us, l.verdict,
+        );
+        baseline = Some(l.stats);
     }
 
     // The chaos leg: the same campaign over a seeded lossy control channel,
@@ -214,7 +200,7 @@ fn main() {
         let rate = updates_per_sec(fired, wall_us);
         let named = out.stats.dropped.map(|d| d.to_string()).join(",");
         println!(
-            "lossy,reliable,{updates},{fired},{},{},0,{wall_us},{rate:.2},{rate:.2},{},{},{named}",
+            "lossy,reliable,{updates},{fired},{},{},0,{wall_us},{rate:.2},0,{},{},{named}",
             out.datagrams,
             out.stats.events_processed,
             vm_hwm_kb(),
@@ -222,7 +208,7 @@ fn main() {
         );
         let _ = write!(
             json,
-            ",\n  \"lossy_reliable\": {{ \"fired\": {fired}, \"events\": {}, \
+            "  \"lossy_reliable\": {{ \"fired\": {fired}, \"events\": {}, \
              \"wall_us\": {wall_us}, \"updates_per_sec\": {rate:.2}, \"verdict\": \"{}\" }}",
             out.stats.events_processed,
             out.verdict_name(),
@@ -231,8 +217,11 @@ fn main() {
 
     if !json_path.is_empty() {
         let body = format!(
-            "{{\n  \"topology\": \"fat_tree({k})\",\n  \"updates\": {updates},\n  \
-             \"seed\": {seed},\n  \"model\": \"pareto\",\n{json}\n}}\n"
+            "{{\n  \"nproc\": {},\n  \"cpu_model\": \"{}\",\n  \
+             \"topology\": \"fat_tree({k})\",\n  \"updates\": {updates},\n  \
+             \"seed\": {seed},\n  \"model\": \"pareto\",\n{json}\n}}\n",
+            nproc(),
+            cpu_model(),
         );
         if let Err(e) = std::fs::write(&json_path, body) {
             eprintln!("fig_campaign: could not write {json_path}: {e}");

@@ -99,6 +99,26 @@ pub fn env_u64(name: &str, default: u64) -> u64 {
     }
 }
 
+/// Logical CPUs available to this process, for stamping benchmark output
+/// with the machine it ran on.
+pub fn nproc() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The CPU model name from `/proc/cpuinfo` (`"unknown"` where that file is
+/// absent), for stamping benchmark output with the machine it ran on.
+pub fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, model)| model.trim().replace('"', "'"))
+        })
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 /// Reads a comma-separated integer list from the environment, falling back
 /// to `default`.
 ///

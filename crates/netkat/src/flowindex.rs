@@ -41,7 +41,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::field::{Field, Value};
-use crate::flowtable::{FlowTable, Rule, TableDelta};
+use crate::flowtable::{FlowTable, Rule};
 use crate::packet::{FieldReader, Packet};
 
 /// Which lookup implementation a data plane dispatches through.
@@ -240,14 +240,12 @@ pub struct CompiledTable {
     fp_fallbacks: Cell<u64>,
 }
 
-/// Splits `rules[lo..hi]` into signature runs — the shared core of
-/// [`CompiledTable::compile`] (whole table) and
-/// [`CompiledTable::patch`] (just the window around an edit). Segment
-/// indices are absolute into `rules`; adjacent scan runs are merged
-/// within the emitted window.
-fn segment_runs(rules: &[Rule], lo: usize, hi: usize) -> Vec<Segment> {
+/// Splits `rules` into signature runs: long same-signature runs become
+/// hash segments, and adjacent scan runs are merged into one segment.
+fn segment_runs(rules: &[Rule]) -> Vec<Segment> {
+    let hi = rules.len();
     let mut segments: Vec<Segment> = Vec::new();
-    let mut i = lo;
+    let mut i = 0;
     while i < hi {
         let sig: Vec<Field> = rules[i].pattern.iter().map(|(f, _)| f).collect();
         let mut j = i + 1;
@@ -299,35 +297,19 @@ impl CompiledTable {
     /// ones, and derives the cross-segment field prefetch.
     pub fn compile(table: &FlowTable) -> CompiledTable {
         let rules: Vec<Rule> = table.iter().cloned().collect();
-        let segments = segment_runs(&rules, 0, rules.len());
-        let mut compiled = CompiledTable {
-            rules,
-            segments,
-            prefetch: Vec::new(),
-            prefetched: false,
-            fp_hits: Cell::new(0),
-            fp_fallbacks: Cell::new(0),
-        };
-        compiled.refresh_prefetch();
-        compiled
-    }
-
-    /// Recomputes the prefetch union, the `prefetched` flag, and every
-    /// hash segment's slot map from the current segment list.
-    fn refresh_prefetch(&mut self) {
+        let mut segments = segment_runs(&rules);
         let mut prefetch_set: BTreeSet<Field> = BTreeSet::new();
         let mut hash_segments = 0usize;
-        for segment in &self.segments {
+        for segment in &segments {
             if let Segment::Hash(seg) = segment {
                 hash_segments += 1;
                 prefetch_set.extend(seg.fields.iter().copied());
             }
         }
-        self.prefetch = prefetch_set.into_iter().collect();
-        self.prefetched = hash_segments >= 2 && self.prefetch.len() <= PREFETCH_CAP;
-        if self.prefetched {
-            let prefetch = &self.prefetch;
-            for segment in &mut self.segments {
+        let prefetch: Vec<Field> = prefetch_set.into_iter().collect();
+        let prefetched = hash_segments >= 2 && prefetch.len() <= PREFETCH_CAP;
+        if prefetched {
+            for segment in &mut segments {
                 if let Segment::Hash(seg) = segment {
                     seg.slots = seg
                         .fields
@@ -339,106 +321,14 @@ impl CompiledTable {
                 }
             }
         }
-    }
-
-    /// Applies a [`TableDelta`] in place: splices the rule list and
-    /// re-segments only a window around the edit instead of re-hashing the
-    /// whole table.
-    ///
-    /// The window is every segment overlapping the replaced range, widened
-    /// by one segment on each side so priority runs can split, merge, or
-    /// extend across the edit's boundaries. Segments after the window keep
-    /// their fingerprint maps and are merely shifted. The contract is
-    /// *lookup equivalence* with a fresh [`compile`](CompiledTable::compile)
-    /// — the segment partition may differ (e.g. a long run split in two),
-    /// which the segment walk's first-match order makes unobservable.
-    /// Accumulated [`lookup_stats`](CompiledTable::lookup_stats) survive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the delta's replaced range does not fit this table.
-    pub fn patch(&mut self, delta: &TableDelta) {
-        if delta.is_empty() {
-            return;
+        CompiledTable {
+            rules,
+            segments,
+            prefetch,
+            prefetched,
+            fp_hits: Cell::new(0),
+            fp_fallbacks: Cell::new(0),
         }
-        let removed_end = delta.start + delta.removed;
-        assert!(removed_end <= self.rules.len(), "delta range must fit the table");
-        self.rules.splice(delta.start..removed_end, delta.inserted.iter().cloned());
-        let shift = delta.inserted.len() as i64 - delta.removed as i64;
-
-        let seg_range = |s: &Segment| match s {
-            Segment::Scan { start, end } => (*start as usize, *end as usize),
-            Segment::Hash(seg) => (seg.start as usize, seg.end as usize),
-        };
-        // Segments [lo, hi) overlap the replaced range (for a pure insert,
-        // the segment containing the insertion point), widened by one on
-        // each side.
-        let lo = self
-            .segments
-            .iter()
-            .position(|s| seg_range(s).1 > delta.start)
-            .unwrap_or(self.segments.len())
-            .saturating_sub(1);
-        let hi = self
-            .segments
-            .iter()
-            .rposition(|s| seg_range(s).0 < removed_end.max(delta.start + 1))
-            .map_or(lo, |i| i + 2)
-            .min(self.segments.len())
-            .max(lo);
-        // Window bounds in (new) rule indices.
-        let w_lo = if lo < hi { seg_range(&self.segments[lo]).0 } else { delta.start };
-        let w_hi = if lo < hi {
-            (seg_range(&self.segments[hi - 1]).1 as i64 + shift) as usize
-        } else {
-            delta.start + delta.inserted.len()
-        };
-        debug_assert!(w_lo <= delta.start && w_hi >= delta.start + delta.inserted.len());
-
-        let rebuilt = segment_runs(&self.rules, w_lo, w_hi);
-
-        // Shift everything after the window, fingerprint maps included.
-        for segment in &mut self.segments[hi..] {
-            match segment {
-                Segment::Scan { start, end } => {
-                    *start = (*start as i64 + shift) as u32;
-                    *end = (*end as i64 + shift) as u32;
-                }
-                Segment::Hash(seg) => {
-                    seg.start = (seg.start as i64 + shift) as u32;
-                    seg.end = (seg.end as i64 + shift) as u32;
-                    for v in seg.map.values_mut() {
-                        *v = (*v as i64 + shift) as u32;
-                    }
-                    for (k, v) in &mut seg.chain {
-                        *k = (*k as i64 + shift) as u32;
-                        *v = (*v as i64 + shift) as u32;
-                    }
-                }
-            }
-        }
-        self.segments.splice(lo..hi, rebuilt);
-
-        // Re-merge scan/scan junctions at the window edges so repeated
-        // patches don't fragment the partition (interior pairs are already
-        // merged by `segment_runs`, so the sweep finds nothing there).
-        let mut junction = lo.max(1);
-        while junction < self.segments.len() {
-            if matches!(
-                (&self.segments[junction - 1], &self.segments[junction]),
-                (Segment::Scan { .. }, Segment::Scan { .. })
-            ) {
-                let (_, merged_end) = seg_range(&self.segments[junction]);
-                if let Segment::Scan { end, .. } = &mut self.segments[junction - 1] {
-                    *end = merged_end as u32;
-                }
-                self.segments.remove(junction);
-            } else {
-                junction += 1;
-            }
-        }
-
-        self.refresh_prefetch();
     }
 
     /// The index of the first matching rule for `pk`, exactly as
@@ -785,124 +675,6 @@ mod tests {
         assert_eq!(LookupPath::Linear.label(), "linear");
         assert_eq!(LookupPath::Indexed.label(), "indexed");
     }
-
-    /// Asserts a patched table agrees with a fresh compile of `target` (and
-    /// with the linear reference) on a probe sweep that covers every rule's
-    /// own pattern plus misses.
-    fn assert_patched_equivalent(patched: &CompiledTable, target: &FlowTable) {
-        let fresh = target.compile();
-        assert_eq!(patched.len(), target.len(), "rule count after patch");
-        let mut probes: Vec<Packet> = target.iter().map(|r| r.pattern.iter().collect()).collect();
-        probes.push(Packet::new());
-        probes.push(Packet::new().with(Field::IpDst, 999));
-        for pk in &probes {
-            assert_eq!(patched.lookup_index(pk), target.lookup_index(pk), "patched vs ref {pk}");
-            assert_eq!(patched.lookup_index(pk), fresh.lookup_index(pk), "patched vs fresh {pk}");
-            assert_eq!(patched.apply(pk), fresh.apply(pk), "apply {pk}");
-        }
-    }
-
-    #[test]
-    fn patch_empty_delta_is_a_no_op() {
-        let table = FlowTable::from_rules((0..8).map(|h| exact(Field::IpDst, h, h)));
-        let mut compiled = table.compile();
-        let segments = compiled.segment_count();
-        compiled.patch(&table.diff(&table.clone()));
-        assert_eq!(compiled.segment_count(), segments);
-        assert_patched_equivalent(&compiled, &table);
-    }
-
-    #[test]
-    fn patch_removal_degrades_hash_run_to_short_scan() {
-        // Exactly HASH_RUN_MIN rules: removing one leaves a 3-rule run that
-        // a fresh compile would scan, not hash.
-        let old = FlowTable::from_rules((0..4).map(|h| exact(Field::IpDst, h, h)));
-        let kept: Vec<Rule> =
-            old.iter().enumerate().filter(|(i, _)| *i != 1).map(|(_, r)| r.clone()).collect();
-        let new = FlowTable::from_rules(kept);
-        let delta = old.diff(&new);
-        let mut compiled = old.compile();
-        assert_eq!(compiled.hashed_rule_count(), 4);
-        compiled.patch(&delta);
-        assert_eq!(compiled.hashed_rule_count(), 0, "short remainder must scan");
-        assert_patched_equivalent(&compiled, &new);
-    }
-
-    #[test]
-    fn patch_splits_and_remerges_a_priority_run() {
-        // Insert a different-signature rule mid-run (split), then remove it
-        // again (merge): both patches must stay equivalent, and the merge
-        // must restore a fully hashed run.
-        let old = FlowTable::from_rules((0..8).map(|h| exact(Field::IpDst, h, h)));
-        let splitter = exact(Field::Vlan, 7, 70);
-        let mut split_rules: Vec<Rule> = old.iter().cloned().collect();
-        split_rules.insert(4, splitter);
-        let split = FlowTable::from_rules(split_rules);
-
-        let mut compiled = old.compile();
-        compiled.patch(&old.diff(&split));
-        assert_patched_equivalent(&compiled, &split);
-
-        compiled.patch(&split.diff(&old));
-        assert_patched_equivalent(&compiled, &old);
-        assert_eq!(compiled.hashed_rule_count(), 8, "run re-merges after the splitter goes");
-    }
-
-    #[test]
-    fn patch_preserves_duplicate_priority_first_wins() {
-        // Two rules carry the same value tuple; the hash map keeps the
-        // first. Removing that first rule must re-point the fingerprint at
-        // the survivor, exactly as a fresh compile would.
-        let mut rules: Vec<Rule> = (0..6).map(|h| exact(Field::IpDst, h, h)).collect();
-        rules[4] = exact(Field::IpDst, 1, 99); // duplicate of rules[1]
-        let old = FlowTable::from_rules(rules);
-        let survivors: Vec<Rule> =
-            old.iter().enumerate().filter(|(i, _)| *i != 1).map(|(_, r)| r.clone()).collect();
-        let new = FlowTable::from_rules(survivors);
-
-        let pk = Packet::new().with(Field::IpDst, 1);
-        let mut compiled = old.compile();
-        assert_eq!(compiled.lookup_index(&pk), Some(1));
-        compiled.patch(&old.diff(&new));
-        assert_eq!(compiled.lookup_index(&pk), new.lookup_index(&pk));
-        let hit = compiled.lookup(&pk).map(|r| r.actions.clone());
-        assert_eq!(hit, new.lookup(&pk).map(|r| r.actions.clone()));
-        assert_patched_equivalent(&compiled, &new);
-    }
-
-    #[test]
-    fn patch_pure_append_and_pure_truncate() {
-        let old = FlowTable::from_rules((0..6).map(|h| exact(Field::IpDst, h, h)));
-        let mut grown = old.clone();
-        for h in 6..12 {
-            grown.push(exact(Field::IpDst, h, h));
-        }
-        let mut compiled = old.compile();
-        compiled.patch(&old.diff(&grown));
-        assert_patched_equivalent(&compiled, &grown);
-
-        compiled.patch(&grown.diff(&old));
-        assert_patched_equivalent(&compiled, &old);
-
-        // All the way down to empty and back.
-        compiled.patch(&old.diff(&FlowTable::new()));
-        assert!(compiled.is_empty());
-        compiled.patch(&FlowTable::new().diff(&old));
-        assert_patched_equivalent(&compiled, &old);
-    }
-
-    #[test]
-    fn patch_keeps_accumulated_lookup_stats() {
-        let old = FlowTable::from_rules((0..8).map(|h| exact(Field::IpDst, h, h)));
-        let mut compiled = old.compile();
-        assert_eq!(compiled.lookup_index(&Packet::new().with(Field::IpDst, 3)), Some(3));
-        let (hits_before, _) = compiled.lookup_stats();
-        assert_eq!(hits_before, 1);
-        let mut new = old.clone();
-        new.push(exact(Field::IpDst, 8, 8));
-        compiled.patch(&old.diff(&new));
-        assert_eq!(compiled.lookup_stats().0, hits_before, "counters survive patching");
-    }
 }
 
 #[cfg(test)]
@@ -1098,52 +870,6 @@ mod proptests {
                 let got = compiled.lookup_index(&pk);
                 prop_assert_eq!(got, table.lookup_index(&pk));
                 prop_assert!(got.is_some_and(|g| g <= i), "rule {} unreachable", i);
-            }
-        }
-
-        // Delta path: patching a compiled table with the diff to an
-        // arbitrary successor is lookup-equivalent to compiling the
-        // successor from scratch — on random packets and on packets derived
-        // from the successor's own rules.
-        #[test]
-        fn patch_equals_scratch_compile(
-            old in arb_table(),
-            new in arb_table(),
-            pks in proptest::collection::vec(arb_packet(), 1..8),
-            picks in arb_derivations(),
-        ) {
-            let delta = old.diff(&new);
-            let mut patched = old.compile();
-            patched.patch(&delta);
-            prop_assert_eq!(patched.len(), new.len());
-            for pk in pks.iter().chain(derived_packets(&new, &picks).iter()) {
-                prop_assert_eq!(
-                    patched.lookup_index(pk),
-                    new.lookup_index(pk),
-                    "patched diverged from reference on {}", pk
-                );
-                prop_assert_eq!(patched.apply(pk), new.apply(pk), "apply diverged on {}", pk);
-            }
-        }
-
-        // A chain of patches (the per-tag deployment's shape: each config's
-        // table derived from its predecessor's) stays equivalent at every
-        // link, including after hash runs split and re-merge repeatedly.
-        #[test]
-        fn patch_chain_stays_equivalent(
-            chain in proptest::collection::vec(arb_table(), 2..5),
-            pks in proptest::collection::vec(arb_packet(), 1..6),
-        ) {
-            let mut patched = chain[0].compile();
-            for window in chain.windows(2) {
-                patched.patch(&window[0].diff(&window[1]));
-                for pk in &pks {
-                    prop_assert_eq!(patched.lookup_index(pk), window[1].lookup_index(pk));
-                }
-                for rule in window[1].iter() {
-                    let pk: Packet = rule.pattern.iter().collect();
-                    prop_assert_eq!(patched.lookup_index(&pk), window[1].lookup_index(&pk));
-                }
             }
         }
     }

@@ -258,87 +258,6 @@ impl FlowTable {
         self.rules.dedup();
         before - self.rules.len()
     }
-
-    /// The minimal contiguous splice turning this table into `new`.
-    ///
-    /// Matches the longest common prefix and suffix of the two rule lists;
-    /// everything between is the edit. A single splice is exactly the shape
-    /// an OpenFlow mod batch takes (delete `removed` rules at `start`, add
-    /// `inserted` in their place), and it is what
-    /// [`CompiledTable::patch`](crate::CompiledTable::patch) applies
-    /// incrementally.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use netkat::{ActionSet, Field, FlowTable, Match, Rule};
-    /// let old = FlowTable::from_rules((0..4).map(|h| {
-    ///     Rule::new(Match::new().with(Field::IpDst, h), ActionSet::pass())
-    /// }));
-    /// let mut new = old.clone();
-    /// new.push(Rule::drop_all());
-    /// let delta = old.diff(&new);
-    /// assert_eq!((delta.start, delta.removed, delta.inserted.len()), (4, 0, 1));
-    /// let mut patched = old.clone();
-    /// patched.splice(&delta);
-    /// assert_eq!(patched, new);
-    /// ```
-    pub fn diff(&self, new: &FlowTable) -> TableDelta {
-        let old = &self.rules;
-        let mut prefix = 0;
-        while prefix < old.len() && prefix < new.rules.len() && old[prefix] == new.rules[prefix] {
-            prefix += 1;
-        }
-        let mut suffix = 0;
-        while suffix < old.len() - prefix
-            && suffix < new.rules.len() - prefix
-            && old[old.len() - 1 - suffix] == new.rules[new.rules.len() - 1 - suffix]
-        {
-            suffix += 1;
-        }
-        TableDelta {
-            start: prefix,
-            removed: old.len() - prefix - suffix,
-            inserted: new.rules[prefix..new.rules.len() - suffix].to_vec(),
-        }
-    }
-
-    /// Applies a delta produced by [`diff`](FlowTable::diff) in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the delta's replaced range does not fit this table.
-    pub fn splice(&mut self, delta: &TableDelta) {
-        self.rules.splice(delta.start..delta.start + delta.removed, delta.inserted.iter().cloned());
-    }
-}
-
-/// A contiguous rule-list edit: replace `removed` rules at priority index
-/// `start` with `inserted` — the OpenFlow-style mod batch one config update
-/// issues to one switch.
-///
-/// Produced by [`FlowTable::diff`]; consumed by [`FlowTable::splice`] and
-/// [`CompiledTable::patch`](crate::CompiledTable::patch).
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct TableDelta {
-    /// Priority index where the edit begins.
-    pub start: usize,
-    /// Number of old rules deleted at `start`.
-    pub removed: usize,
-    /// Rules installed in their place.
-    pub inserted: Vec<Rule>,
-}
-
-impl TableDelta {
-    /// Returns `true` if the delta changes nothing.
-    pub fn is_empty(&self) -> bool {
-        self.removed == 0 && self.inserted.is_empty()
-    }
-
-    /// Total rule mods (deletes + adds) the delta issues.
-    pub fn mods(&self) -> usize {
-        self.removed + self.inserted.len()
-    }
 }
 
 impl fmt::Display for FlowTable {
@@ -483,61 +402,5 @@ mod tests {
     fn display_contains_rules() {
         let t = FlowTable::from_rules([Rule::drop_all()]);
         assert!(t.to_string().contains("* -> drop"));
-    }
-
-    fn exact(v: Value) -> Rule {
-        Rule::new(Match::new().with(Field::IpDst, v), ActionSet::pass())
-    }
-
-    #[test]
-    fn diff_of_identical_tables_is_empty() {
-        let t = FlowTable::from_rules((0..5).map(exact));
-        let delta = t.diff(&t.clone());
-        assert!(delta.is_empty());
-        assert_eq!(delta.mods(), 0);
-        let mut patched = t.clone();
-        patched.splice(&delta);
-        assert_eq!(patched, t);
-    }
-
-    #[test]
-    fn diff_finds_the_minimal_middle_splice() {
-        let old = FlowTable::from_rules([exact(0), exact(1), exact(2), exact(3)]);
-        let new = FlowTable::from_rules([exact(0), exact(7), exact(8), exact(2), exact(3)]);
-        let delta = old.diff(&new);
-        assert_eq!(delta.start, 1);
-        assert_eq!(delta.removed, 1);
-        assert_eq!(delta.inserted, vec![exact(7), exact(8)]);
-        assert_eq!(delta.mods(), 3);
-        let mut patched = old;
-        patched.splice(&delta);
-        assert_eq!(patched, new);
-    }
-
-    #[test]
-    fn diff_handles_empty_tables_on_either_side() {
-        let full = FlowTable::from_rules((0..3).map(exact));
-        let install = FlowTable::new().diff(&full);
-        assert_eq!((install.start, install.removed, install.inserted.len()), (0, 0, 3));
-        let uninstall = full.diff(&FlowTable::new());
-        assert_eq!((uninstall.start, uninstall.removed, uninstall.inserted.len()), (0, 3, 0));
-        let mut t = full.clone();
-        t.splice(&uninstall);
-        assert!(t.is_empty());
-        let mut t = FlowTable::new();
-        t.splice(&install);
-        assert_eq!(t, full);
-    }
-
-    #[test]
-    fn diff_with_repeated_rules_still_round_trips() {
-        // Common prefix/suffix overlap candidates: all rules identical.
-        let old = FlowTable::from_rules((0..4).map(|_| exact(1)));
-        let new = FlowTable::from_rules((0..6).map(|_| exact(1)));
-        let delta = old.diff(&new);
-        assert_eq!(delta.mods(), 2);
-        let mut patched = old;
-        patched.splice(&delta);
-        assert_eq!(patched, new);
     }
 }

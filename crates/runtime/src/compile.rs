@@ -185,36 +185,6 @@ impl CompiledNes {
             .collect()
     }
 
-    /// The per-tag rule sets with their table positions, the shape the
-    /// optimized *deployment* consumes: `rules[tag]` is the set of
-    /// `(switch, priority, match, actions)` tuples of that tag's
-    /// configuration. The priority index preserves first-match-wins order
-    /// for overlapping rules (e.g. a firewall's prepended drop rule), which
-    /// [`config_rule_sets`](CompiledNes::config_rule_sets)'s unordered
-    /// triples deliberately forget.
-    pub fn prioritized_rule_sets(&self) -> Vec<BTreeSet<(u64, u32, Match, ActionSet)>> {
-        self.tags
-            .iter()
-            .map(|&set| {
-                let config = self.nes.config(set);
-                let mut rules = BTreeSet::new();
-                for sw in config.switches() {
-                    if let Some(table) = config.table(sw) {
-                        for (prio, rule) in table.iter().enumerate() {
-                            rules.insert((
-                                sw,
-                                prio as u32,
-                                rule.pattern.clone(),
-                                rule.actions.clone(),
-                            ));
-                        }
-                    }
-                }
-                rules
-            })
-            .collect()
-    }
-
     /// One firing step: which of `candidates` actually occur given the
     /// fixed pre-arrival set `known`, per the SWITCH rule:
     /// `E′ = {e : known ⊢ e ∧ con(known ∪ E′ ∪ {e})}`.

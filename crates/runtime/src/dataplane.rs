@@ -18,23 +18,19 @@ use netkat::{Field, FxBuildHasher, Loc, LocatedView, LookupPath, Packet, PacketA
 use netsim::{table_outputs, CtrlMsg, DataPlane, SimTime, StepResult, StepResultId};
 
 use crate::compile::CompiledNes;
-use crate::deploy::{CompilePath, DeployKnobs, Deployment, OptimizeMode};
+use crate::deploy::DeployKnobs;
+use crate::program::SwitchProgram;
 
 /// The deployed NES runtime (switch state + controller).
 #[derive(Clone, Debug)]
 pub struct NesDataPlane {
     compiled: CompiledNes,
-    /// The installed tables, in the layout the deployment knobs chose:
-    /// tag-guarded per-switch programs (Section 4.1, scratch compilation),
-    /// delta-patched per-`(switch, tag)` tables (`EDN_COMPILE=delta`), or
-    /// trie-compressed wildcard-guarded tables (`EDN_OPTIMIZE=on`,
-    /// Section 5.3). All layouts forward identically — the delta and
-    /// plumbing equivalence suites pin that byte for byte.
-    deployment: Deployment,
-    /// The resolved deployment knobs (lookup path, compile path,
-    /// optimizer), fixed at construction so runs never consult the
-    /// environment mid-flight.
-    knobs: DeployKnobs,
+    /// The installed tables: one tag-guarded program per switch
+    /// (Section 4.1), every configuration compiled from scratch.
+    programs: BTreeMap<u64, SwitchProgram>,
+    /// The lookup path through `programs`, fixed at construction so runs
+    /// never consult the environment mid-flight.
+    path: LookupPath,
     /// Per-switch known events (`E` in Fig. 7), dense: `local[slot]` with
     /// slots assigned by `switch_slot`. The switch step reads and writes
     /// this two or three times per packet, so it must not walk a tree.
@@ -69,15 +65,13 @@ pub struct NesDataPlane {
 }
 
 impl NesDataPlane {
-    /// Deploys a compiled NES on the given switches, with every deployment
-    /// knob taken from the environment (`EDN_LOOKUP`, `EDN_COMPILE`,
-    /// `EDN_OPTIMIZE`).
+    /// Deploys a compiled NES on the given switches, with the lookup path
+    /// taken from the environment (`EDN_LOOKUP`).
     pub fn new(compiled: CompiledNes, switches: Vec<u64>, broadcast: bool) -> NesDataPlane {
         NesDataPlane::with_knobs(compiled, switches, broadcast, DeployKnobs::from_env())
     }
 
-    /// Deploys a compiled NES on an explicit lookup path, the remaining
-    /// knobs from the environment.
+    /// Deploys a compiled NES on an explicit lookup path.
     pub fn with_path(
         compiled: CompiledNes,
         switches: Vec<u64>,
@@ -88,7 +82,7 @@ impl NesDataPlane {
             compiled,
             switches,
             broadcast,
-            DeployKnobs::from_env().with_path(path),
+            DeployKnobs::default().with_path(path),
         )
     }
 
@@ -104,11 +98,11 @@ impl NesDataPlane {
         let switch_slot =
             switches.iter().enumerate().map(|(i, &s)| (s, i as u32)).collect::<HashMap<_, _, _>>();
         let local = vec![EventSet::empty(); switches.len()];
-        let deployment = Deployment::deploy(&compiled, knobs);
+        let programs = compiled.switch_programs().into_iter().map(|p| (p.switch, p)).collect();
         NesDataPlane {
             compiled,
-            deployment,
-            knobs,
+            programs,
+            path: knobs.path,
             local,
             switch_slot,
             controller: EventSet::empty(),
@@ -135,31 +129,7 @@ impl NesDataPlane {
 
     /// The lookup path this deployment dispatches through.
     pub fn lookup_path(&self) -> LookupPath {
-        self.knobs.path
-    }
-
-    /// The compile path this deployment was built with.
-    pub fn compile_path(&self) -> CompilePath {
-        self.knobs.compile
-    }
-
-    /// Whether the rule-sharing optimizer is on the hot path.
-    pub fn optimize_mode(&self) -> OptimizeMode {
-        self.knobs.optimize
-    }
-
-    /// Total rule adds + removes the delta compile path applied along the
-    /// tag chain (`None` unless this deployment was built with
-    /// [`CompilePath::Delta`]) — the OpenFlow mod count a real controller
-    /// would have pushed instead of whole-table swaps.
-    pub fn delta_rule_mods(&self) -> Option<u64> {
-        self.deployment.delta_rule_mods()
-    }
-
-    /// The optimizer's `(installed, original)` rule counts (`None` unless
-    /// this deployment was built with [`OptimizeMode::On`]).
-    pub fn optimized_rule_counts(&self) -> Option<(usize, usize)> {
-        self.deployment.optimized_rule_counts()
+        self.path
     }
 
     /// The compiled NES.
@@ -270,7 +240,9 @@ impl DataPlane for NesDataPlane {
         lookup.set_loc(Loc::new(sw, pt));
         lookup.set(Field::Tag, tag);
         let mut out = Vec::new();
-        self.deployment.apply_into(self.knobs.path, sw, tag, &lookup, &mut out);
+        if let Some(rule) = self.programs.get(&sw).and_then(|p| p.lookup_on(self.path, &lookup)) {
+            rule.actions.apply_into(&lookup, &mut out);
+        }
         let mut outputs = table_outputs(pt, out);
         for (_, out) in &mut outputs {
             // SWITCH step 4: the outgoing digest carries everything this
@@ -358,7 +330,7 @@ impl DataPlane for NesDataPlane {
         {
             let base = arena.get(stamped);
             let view = LocatedView { base, loc, tag: Some(tag) };
-            let rule = self.deployment.lookup_on(self.knobs.path, sw, tag, &view);
+            let rule = self.programs.get(&sw).and_then(|p| p.lookup_on(self.path, &view));
             if let Some(rule) = rule {
                 if rule.actions.len() == 1 {
                     let action = rule.actions.iter().next().expect("len 1");
@@ -474,10 +446,14 @@ impl DataPlane for NesDataPlane {
     }
 
     /// Reports the compiled lookup index's fingerprint probe outcomes,
-    /// summed over every distinct table this plane instance drove (the
-    /// optimized layout has no fingerprint index and reports zero).
+    /// summed over every switch's table this plane instance drove.
     fn contribute_metrics(&self, reg: &mut edn_obs::Registry) {
-        let (hits, fallbacks) = self.deployment.lookup_stats();
+        let (mut hits, mut fallbacks) = (0u64, 0u64);
+        for program in self.programs.values() {
+            let (h, f) = program.compiled.lookup_stats();
+            hits += h;
+            fallbacks += f;
+        }
         reg.counter_add(edn_obs::Scope::Shard, "flowindex.fp_hits", hits);
         reg.counter_add(edn_obs::Scope::Shard, "flowindex.fp_fallbacks", fallbacks);
     }
@@ -616,56 +592,6 @@ mod tests {
             let b = indexed.process(1, pt, pk, from_host, SimTime::ZERO);
             assert_eq!(a, b, "paths diverged at pt {pt}, dst {dst}");
             assert_eq!(linear.local_events(1), indexed.local_events(1));
-        }
-    }
-
-    #[test]
-    fn deployments_agree_step_by_step() {
-        // Drive the same packet sequence through every (compile, optimize)
-        // knob combination; each step must produce identical outputs,
-        // notifications, and switch state. (EDN_OPTIMIZE=on overrides the
-        // compile path, but both combinations must still work.)
-        let knob_matrix = [
-            (CompilePath::Scratch, OptimizeMode::Off),
-            (CompilePath::Delta, OptimizeMode::Off),
-            (CompilePath::Scratch, OptimizeMode::On),
-            (CompilePath::Delta, OptimizeMode::On),
-        ];
-        let mk = |compile, optimize| {
-            NesDataPlane::with_knobs(
-                CompiledNes::compile(firewall_nes()),
-                vec![1],
-                false,
-                crate::deploy::DeployKnobs { compile, optimize, ..Default::default() },
-            )
-        };
-        let mut reference = mk(CompilePath::Scratch, OptimizeMode::Off);
-        let mut legs: Vec<NesDataPlane> = knob_matrix[1..].iter().map(|&(c, o)| mk(c, o)).collect();
-        assert_eq!(legs[0].compile_path(), CompilePath::Delta);
-        assert!(legs[0].delta_rule_mods().is_some());
-        assert!(legs[1].optimize_mode().is_on());
-        assert!(legs[1].optimized_rule_counts().is_some());
-        let steps = [
-            (2u64, 999u64, true),
-            (3, 200, true), // blocked pre-event
-            (2, 300, true), // fires e0
-            (3, 200, true), // allowed post-event
-            (9, 300, false),
-        ];
-        for (pt, dst, from_host) in steps {
-            let pk = Packet::new().with(Field::IpDst, dst);
-            let want = reference.process(1, pt, pk.clone(), from_host, SimTime::ZERO);
-            for (leg, &(c, o)) in legs.iter_mut().zip(&knob_matrix[1..]) {
-                let got = leg.process(1, pt, pk.clone(), from_host, SimTime::ZERO);
-                assert_eq!(
-                    got,
-                    want,
-                    "compile {}/optimize {} diverged at pt {pt}, dst {dst}",
-                    c.label(),
-                    o.label()
-                );
-                assert_eq!(leg.local_events(1), reference.local_events(1));
-            }
         }
     }
 

@@ -11,7 +11,7 @@
 
 use std::fmt;
 
-use netkat::{CompiledTable, Field, FlowTable, Loc, Match, Packet, Rule};
+use netkat::{CompiledTable, Field, FieldReader, FlowTable, Loc, LookupPath, Match, Packet, Rule};
 
 use crate::compile::CompiledNes;
 
@@ -45,6 +45,17 @@ impl SwitchProgram {
     /// [`FlowTable::apply`] on [`table`](SwitchProgram::table)).
     pub fn apply(&self, packet: &Packet) -> std::collections::BTreeSet<Packet> {
         self.compiled.apply(packet)
+    }
+
+    /// The first matching rule for a located, tagged packet read through
+    /// `view`, on the chosen lookup path: the linear reference scan of
+    /// [`table`](SwitchProgram::table) or the [`compiled`](SwitchProgram::compiled)
+    /// index.
+    pub(crate) fn lookup_on<R: FieldReader>(&self, path: LookupPath, view: &R) -> Option<&Rule> {
+        match path {
+            LookupPath::Linear => self.table.lookup_on(view),
+            LookupPath::Indexed => self.compiled.lookup_on(view),
+        }
     }
 }
 
@@ -154,25 +165,90 @@ mod tests {
         .unwrap()
     }
 
+    /// A three-switch NES with ten configurations: a nine-step campaign
+    /// that re-routes a different destination at every step, prepends a
+    /// source drop rule on odd steps, and leaves switch 3 without a table
+    /// on every third step.
+    fn campaign_line_nes() -> NetworkEventStructure {
+        let config = |step: u64| {
+            let mut c = Config::new();
+            for sw in [1u64, 2, 3] {
+                if sw == 3 && step % 3 == 2 {
+                    continue;
+                }
+                let mut rules = Vec::new();
+                if step % 2 == 1 {
+                    rules.push(Rule::new(Match::new().with(Field::IpSrc, step), ActionSet::drop()));
+                }
+                for dst in 0..8u64 {
+                    let out = if dst == (step + sw) % 8 { 3 } else { 1 + (dst + sw) % 2 };
+                    for pt in [1u64, 2] {
+                        rules.push(Rule::new(
+                            Match::new().with(Field::Port, pt).with(Field::IpDst, dst),
+                            ActionSet::single(Action::assign(Field::Port, out)),
+                        ));
+                    }
+                }
+                c.install(sw, FlowTable::from_rules(rules));
+            }
+            c
+        };
+        let steps = (1..=9u64)
+            .map(|step| crate::CampaignStep {
+                trigger: Pred::test(Field::Vlan, 100 + step),
+                loc: Loc::new(1 + step % 3, 2),
+                config: config(step),
+            })
+            .collect();
+        crate::campaign_nes(config(0), steps).unwrap()
+    }
+
+    /// Every switch's guarded program behaves, for every tag, exactly like
+    /// that tag's own configuration table (modulo the tag field the guard
+    /// leaves on the packet), on both lookup paths. A switch without a
+    /// table in some configuration drops that configuration's packets.
     #[test]
     fn guarded_lookup_agrees_with_per_tag_configs() {
-        let compiled = CompiledNes::compile(firewall_nes());
-        let program = compiled.switch_program(1);
-        for tag in 0..compiled.tag_count() as u64 {
-            let config = compiled.nes().config(compiled.set_of(tag));
-            let table = config.table(1).unwrap();
-            for pt in [2u64, 3, 9] {
-                for dst in [200u64, 300] {
-                    let base = Packet::new().with(Field::IpDst, dst);
-                    let tagged = tagged_lookup(&base, Loc::new(1, pt), tag);
-                    let mut untagged = base.clone();
-                    untagged.set_loc(Loc::new(1, pt));
-                    // The guarded program must behave exactly like the
-                    // packet's own configuration (modulo the tag field the
-                    // guard leaves on the packet).
-                    let got: std::collections::BTreeSet<Packet> =
-                        program.apply(&tagged).into_iter().map(|p| p.erase_virtual()).collect();
-                    assert_eq!(got, table.apply(&untagged), "tag {tag}, pt {pt}, dst {dst}");
+        let inputs = [
+            (firewall_nes(), 2, vec![1u64], vec![2u64, 3, 9], vec![200u64, 300]),
+            (campaign_line_nes(), 10, vec![1, 2, 3], vec![1, 2, 3], (0..9).collect()),
+        ];
+        for (nes, tags, switches, ports, dsts) in inputs {
+            let compiled = CompiledNes::compile(nes);
+            assert_eq!(compiled.tag_count(), tags);
+            for &sw in &switches {
+                let program = compiled.switch_program(sw);
+                for tag in 0..compiled.tag_count() as u64 {
+                    let config = compiled.nes().config(compiled.set_of(tag));
+                    let empty = FlowTable::new();
+                    let table = config.table(sw).unwrap_or(&empty);
+                    for &pt in &ports {
+                        for &dst in &dsts {
+                            for src in [0u64, 1, 3, 5] {
+                                let base =
+                                    Packet::new().with(Field::IpDst, dst).with(Field::IpSrc, src);
+                                let tagged = tagged_lookup(&base, Loc::new(sw, pt), tag);
+                                let mut untagged = base.clone();
+                                untagged.set_loc(Loc::new(sw, pt));
+                                let got: std::collections::BTreeSet<Packet> = program
+                                    .apply(&tagged)
+                                    .into_iter()
+                                    .map(|p| p.erase_virtual())
+                                    .collect();
+                                let want = table.apply(&untagged);
+                                assert_eq!(got, want, "sw {sw}, tag {tag}, pt {pt}, dst {dst}");
+                                let want_rule = table.lookup(&untagged).map(|r| &r.actions);
+                                for path in [LookupPath::Linear, LookupPath::Indexed] {
+                                    assert_eq!(
+                                        program.lookup_on(path, &tagged).map(|r| &r.actions),
+                                        want_rule,
+                                        "{} lookup: sw {sw}, tag {tag}, pt {pt}, dst {dst}",
+                                        path.label()
+                                    );
+                                }
+                            }
+                        }
+                    }
                 }
             }
         }

@@ -11,8 +11,6 @@ use edn_core::Config;
 use netkat::{CompiledTable, Field, Loc, LocatedView, LookupPath, Packet, PacketArena, PacketId};
 use netsim::{table_outputs, CtrlMsg, DataPlane, SimTime, StepResult, StepResultId};
 
-use crate::deploy::{OptimizeMode, OptimizedTables};
-
 /// A data plane that forwards under a single fixed [`Config`].
 #[derive(Clone, Debug)]
 pub struct StaticDataPlane {
@@ -20,11 +18,6 @@ pub struct StaticDataPlane {
     /// Per-switch compiled tables, built once at deployment.
     index: BTreeMap<u64, CompiledTable>,
     path: LookupPath,
-    /// The trie-compressed layout, when `EDN_OPTIMIZE=on`: the degenerate
-    /// single-configuration case (one leaf, all-wildcard guards), routed
-    /// through the same guarded scan as the NES plane so the optimizer's
-    /// hot path is exercised under both data planes.
-    optimized: Option<OptimizedTables>,
     /// Reused arena-path buffers (see `NesDataPlane`): lookup and output
     /// packets are built here; a steady-state hop allocates nothing.
     lookup_buf: Packet,
@@ -32,33 +25,19 @@ pub struct StaticDataPlane {
 }
 
 impl StaticDataPlane {
-    /// Deploys the configuration, with the lookup path and optimizer mode
-    /// taken from the environment (`EDN_LOOKUP`, `EDN_OPTIMIZE`).
+    /// Deploys the configuration, with the lookup path taken from the
+    /// environment (`EDN_LOOKUP`).
     pub fn new(config: Config) -> StaticDataPlane {
-        StaticDataPlane::with_knobs(config, LookupPath::from_env(), OptimizeMode::from_env())
+        StaticDataPlane::with_path(config, LookupPath::from_env())
     }
 
-    /// Deploys the configuration on an explicit lookup path, the optimizer
-    /// mode from the environment.
+    /// Deploys the configuration on an explicit lookup path.
     pub fn with_path(config: Config, path: LookupPath) -> StaticDataPlane {
-        StaticDataPlane::with_knobs(config, path, OptimizeMode::from_env())
-    }
-
-    /// Deploys the configuration with every knob pinned explicitly.
-    pub fn with_knobs(config: Config, path: LookupPath, optimize: OptimizeMode) -> StaticDataPlane {
         let index = config
             .switches()
             .filter_map(|sw| config.table(sw).map(|t| (sw, t.compile())))
             .collect();
-        let optimized = optimize.is_on().then(|| OptimizedTables::from_config(&config));
-        StaticDataPlane {
-            config,
-            index,
-            path,
-            optimized,
-            lookup_buf: Packet::new(),
-            out_buf: Packet::new(),
-        }
+        StaticDataPlane { config, index, path, lookup_buf: Packet::new(), out_buf: Packet::new() }
     }
 
     /// The deployed configuration.
@@ -70,28 +49,15 @@ impl StaticDataPlane {
     pub fn lookup_path(&self) -> LookupPath {
         self.path
     }
-
-    /// Whether the rule-sharing optimizer is on the hot path.
-    pub fn optimize_mode(&self) -> OptimizeMode {
-        if self.optimized.is_some() {
-            OptimizeMode::On
-        } else {
-            OptimizeMode::Off
-        }
-    }
 }
 
 impl DataPlane for StaticDataPlane {
     fn process(&mut self, sw: u64, pt: u64, packet: Packet, _: bool, _: SimTime) -> StepResult {
         let mut lookup = packet;
         lookup.set_loc(Loc::new(sw, pt));
-        let rule = if let Some(optimized) = &self.optimized {
-            optimized.lookup_on(sw, 0, &lookup)
-        } else {
-            match self.path {
-                LookupPath::Linear => self.config.table(sw).and_then(|t| t.lookup_on(&lookup)),
-                LookupPath::Indexed => self.index.get(&sw).and_then(|t| t.lookup_on(&lookup)),
-            }
+        let rule = match self.path {
+            LookupPath::Linear => self.config.table(sw).and_then(|t| t.lookup_on(&lookup)),
+            LookupPath::Indexed => self.index.get(&sw).and_then(|t| t.lookup_on(&lookup)),
         };
         let mut out = Vec::new();
         if let Some(rule) = rule {
@@ -138,13 +104,9 @@ impl DataPlane for StaticDataPlane {
         let loc = Loc::new(sw, pt);
         let base = arena.get(packet);
         let view = LocatedView { base, loc, tag: None };
-        let rule = if let Some(optimized) = &self.optimized {
-            optimized.lookup_on(sw, 0, &view)
-        } else {
-            match self.path {
-                LookupPath::Linear => self.config.table(sw).and_then(|t| t.lookup_on(&view)),
-                LookupPath::Indexed => self.index.get(&sw).and_then(|t| t.lookup_on(&view)),
-            }
+        let rule = match self.path {
+            LookupPath::Linear => self.config.table(sw).and_then(|t| t.lookup_on(&view)),
+            LookupPath::Indexed => self.index.get(&sw).and_then(|t| t.lookup_on(&view)),
         };
         if let Some(rule) = rule {
             if rule.actions.len() == 1 {

@@ -411,9 +411,8 @@ impl CompiledScenario {
     }
 
     /// Builds the coordinated (NES runtime) engine for this scenario:
-    /// deployment knobs and shard count from the environment (`EDN_LOOKUP`,
-    /// `EDN_COMPILE`, `EDN_OPTIMIZE`, `EDN_SHARDS`), no controller
-    /// broadcast, sink hosts.
+    /// lookup path and shard count from the environment (`EDN_LOOKUP`,
+    /// `EDN_SHARDS`), no controller broadcast, sink hosts.
     pub fn engine(&self) -> Engine<nes_runtime::NesDataPlane> {
         self.engine_with(nes_runtime::DeployKnobs::from_env())
     }

@@ -41,8 +41,7 @@ struct Knobs {
     deploy: DeployKnobs,
 }
 
-/// The reference deployment: indexed lookups over scratch-compiled guarded
-/// tables, optimizer off.
+/// The reference deployment: indexed lookups over the guarded tables.
 const REFERENCE_DEPLOY: DeployKnobs = DeployKnobs {
     path: LookupPath::Indexed,
     compile: CompilePath::Scratch,
@@ -447,36 +446,27 @@ fn reliable_lossy_runs_replay_identically_across_shard_counts() {
     }
 }
 
-/// Every non-reference deployment shape — delta-patched per-tag tables,
-/// the trie-compressed optimizer (over both compile paths), and the
-/// linear-scan lookup under each — replays the §5.2 ring and the fat-tree
-/// churn campaign byte-identically to the scratch/guarded reference, solo
-/// and sharded. The table *construction* and *layout* may change; the
-/// observable run may not.
+/// The guarded deployment on both lookup paths — the compiled index and
+/// the linear reference scan — replays the §5.2 ring and the fat-tree churn
+/// campaign byte-identically to the reference, solo and sharded. The
+/// lookup implementation may change; the observable run may not.
 #[test]
 fn deployment_layouts_do_not_perturb_results() {
     fn assert_deploy_invariant(scenario: &str, run: impl Fn(Knobs) -> (NetworkTrace, Stats)) {
-        let deploys = [
-            (CompilePath::Delta, OptimizeMode::Off),
-            (CompilePath::Scratch, OptimizeMode::On),
-            (CompilePath::Delta, OptimizeMode::On),
-        ];
         let (reference_trace, reference_stats) = run(REFERENCE);
-        for (compile, optimize) in deploys {
-            for lookup in [LookupPath::Indexed, LookupPath::Linear] {
-                for shards in [1, 4] {
-                    let knobs = Knobs {
-                        queue: QueueKind::Calendar,
-                        mode: TraceMode::Full,
-                        path: PacketPath::Arena,
-                        shards: effective_shards(shards),
-                        metrics: MetricsLevel::Off,
-                        deploy: DeployKnobs { path: lookup, compile, optimize },
-                    };
-                    let (trace, stats) = run(knobs);
-                    assert_eq!(stats, reference_stats, "{scenario}: stats diverged on {knobs:?}");
-                    assert_eq!(trace, reference_trace, "{scenario}: trace diverged on {knobs:?}");
-                }
+        for lookup in [LookupPath::Indexed, LookupPath::Linear] {
+            for shards in [1, 4] {
+                let knobs = Knobs {
+                    queue: QueueKind::Calendar,
+                    mode: TraceMode::Full,
+                    path: PacketPath::Arena,
+                    shards: effective_shards(shards),
+                    metrics: MetricsLevel::Off,
+                    deploy: REFERENCE_DEPLOY.with_path(lookup),
+                };
+                let (trace, stats) = run(knobs);
+                assert_eq!(stats, reference_stats, "{scenario}: stats diverged on {knobs:?}");
+                assert_eq!(trace, reference_trace, "{scenario}: trace diverged on {knobs:?}");
             }
         }
     }

@@ -19,7 +19,6 @@
 use edn_scenario::{
     differential, parse, run_coordinated, stats_csv_row, CompiledScenario, RunOptions, ScenarioGen,
 };
-use nes_runtime::{CompilePath, OptimizeMode};
 use netsim::ChannelModel;
 use proptest::prelude::*;
 
@@ -98,38 +97,6 @@ fn corpus_scenarios_replay_byte_identically() {
         let a = run_coordinated(&c, &RunOptions::default());
         let b = run_coordinated(&c, &RunOptions::default());
         assert_eq!(a.stats, b.stats, "seed {seed}: replay diverged");
-    }
-}
-
-/// Every pinned seed, replayed with the delta compile path (and, for good
-/// measure, the rule optimizer) pinned on: the canonical CSV — stats,
-/// firing count, and the online verdict — must be byte-identical to the
-/// scratch-compiled run. The corpus is the widest churn surface in the
-/// repo (random topologies, crashes, moves, flaps), so this is the delta
-/// path's differential gauntlet.
-#[test]
-fn pinned_corpus_is_compile_path_invariant() {
-    for &(seed, fired, _) in &CORPUS {
-        let spec = ScenarioGen::sample(seed);
-        let c = CompiledScenario::compile(&spec).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        let check = RunOptions { check: true, ..RunOptions::default() };
-        let scratch = run_coordinated(&c, &check);
-        assert_eq!(scratch.fired, Some(fired), "seed {seed}: firing count drifted");
-        let delta = run_coordinated(&c, &RunOptions { compile: Some(CompilePath::Delta), ..check });
-        assert_eq!(
-            stats_csv_row(&delta),
-            stats_csv_row(&scratch),
-            "seed {seed}: delta compile changed the canonical CSV"
-        );
-        let optimized =
-            run_coordinated(&c, &RunOptions { optimize: Some(OptimizeMode::On), ..check });
-        assert_eq!(
-            stats_csv_row(&optimized),
-            stats_csv_row(&scratch),
-            "seed {seed}: the optimizer changed the canonical CSV"
-        );
-        assert_eq!(delta.verdict, Some(Ok(())), "seed {seed}: delta verdict");
-        assert_eq!(optimized.verdict, Some(Ok(())), "seed {seed}: optimized verdict");
     }
 }
 
