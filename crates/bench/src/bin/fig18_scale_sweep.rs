@@ -4,17 +4,15 @@
 //!
 //! Run with: `cargo run --release -p edn-bench --bin fig18_scale_sweep`
 //!
-//! Every sweep point runs on **both** flow-table lookup paths (the linear
-//! reference scan and the compiled index) and **both** trace modes (full
-//! recording and stats-only): the CSV on stdout reports the combination
-//! selected by `EDN_LOOKUP` (default `indexed`) and `EDN_TRACE` (default
-//! `full`), and a machine-readable perf-trajectory file
-//! (`BENCH_fig18.json` by default) records `(switches, events, wall,
-//! ns/event)` for every combination at every point. `wall_us` times the
-//! simulation event loop (`Engine::run`). All CSV columns except
-//! `wall_us` are identical across lookup paths, trace modes, queue
-//! implementations, and packet paths by construction — CI replays the
-//! sweep across them and `cmp`s the canonical CSVs.
+//! Every sweep point runs in **both** trace modes (full recording and
+//! stats-only): the CSV on stdout reports the mode selected by `EDN_TRACE`
+//! (default `full`), and a machine-readable perf-trajectory file
+//! (`BENCH_fig18.json` by default, stamped with the machine's `nproc` and
+//! CPU model) records `(switches, events, wall, ns/event)` for every
+//! combination at every point. `wall_us` times the simulation event loop
+//! (`Engine::run`). All CSV columns except `wall_us` are identical across
+//! trace modes, queue implementations, and packet paths by construction —
+//! CI replays the sweep across them and `cmp`s the canonical CSVs.
 //!
 //! Environment overrides (CI smoke uses small values):
 //! * `FIG18_RING_SIZES` — comma-separated ring sizes (default
@@ -24,8 +22,7 @@
 //! * `FIG18_PACKETS_PER_FLOW` — datagrams per flow (default `20`);
 //! * `FIG18_SEED` — workload seed (default `7`);
 //! * `FIG18_SHARDS` — comma-separated engine shard counts for the JSON
-//!   trajectory (default `1,4`; the multi-shard rows run on the indexed
-//!   lookup path, the headline measurement). The CSV always reports the
+//!   trajectory (default `1,4`). The CSV always reports the
 //!   `EDN_SHARDS` selection — and is byte-identical across shard counts,
 //!   which CI `cmp`s;
 //! * `FIG18_REPS` — repetitions per point, reporting the minimum
@@ -34,7 +31,6 @@
 //!   two runs with the same seed produce byte-identical CSV;
 //! * `FIG18_JSON` — where to write the perf trajectory (default
 //!   `BENCH_fig18.json`; empty string disables);
-//! * `EDN_LOOKUP` — `linear` or `indexed`: the path the CSV reports;
 //! * `EDN_TRACE` — `full` or `stats`: the trace mode the CSV reports;
 //! * `EDN_SHARDS` — engine shard count the CSV reports;
 //! * `EDN_QUEUE` / `EDN_PACKETS` — event queue and packet representation
@@ -43,15 +39,12 @@
 use std::fmt::Write as _;
 
 use edn_bench::scale::{run_point, Plane, SweepRow, CSV_HEADER};
-use edn_bench::{env_list, env_u64};
+use edn_bench::{cpu_model, env_list, env_u64, nproc};
 use edn_topo::{fat_tree, ring, GenTopology, LinkProfile, TierProfile, TrafficPattern, Workload};
-use netkat::LookupPath;
 use netsim::TraceMode;
 
-/// One `(sweep point, lookup path, trace mode)` record of the perf
-/// trajectory.
+/// One `(sweep point, trace mode)` record of the perf trajectory.
 struct JsonRow {
-    lookup: LookupPath,
     mode: TraceMode,
     row: SweepRow,
 }
@@ -60,7 +53,7 @@ impl JsonRow {
     fn render(&self) -> String {
         let r = &self.row;
         format!(
-            "    {{\"topology\": \"{}\", \"param\": {}, \"plane\": \"{}\", \"lookup\": \"{}\", \
+            "    {{\"topology\": \"{}\", \"param\": {}, \"plane\": \"{}\", \
              \"trace\": \"{}\", \"shards\": {}, \"switches\": {}, \"rules\": {}, \
              \"events\": {}, \"wall_us\": {}, \"ns_per_event\": {:.1}, \
              \"latency_p50_us\": {}, \"latency_p99_us\": {}, \"arena_hw\": {}, \
@@ -68,7 +61,6 @@ impl JsonRow {
             r.topology,
             r.param,
             r.plane.label(),
-            self.lookup.label(),
             self.mode.label(),
             r.shards,
             r.switches,
@@ -87,6 +79,8 @@ impl JsonRow {
 fn render_json(seed: u64, packets_per_flow: u64, rows: &[JsonRow]) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"bench\": \"fig18_scale_sweep\",");
+    let _ = writeln!(out, "  \"nproc\": {},", nproc());
+    let _ = writeln!(out, "  \"cpu_model\": \"{}\",", cpu_model());
     let _ = writeln!(out, "  \"seed\": {seed},");
     let _ = writeln!(out, "  \"packets_per_flow\": {packets_per_flow},");
     out.push_str("  \"rows\": [\n");
@@ -106,7 +100,6 @@ fn main() {
     let reps = env_u64("FIG18_REPS", 1) as u32;
     let canonical = env_u64("FIG18_CANONICAL", 0) == 1;
     let json_path = std::env::var("FIG18_JSON").unwrap_or_else(|_| "BENCH_fig18.json".to_string());
-    let csv_lookup = LookupPath::from_env();
     let csv_mode = TraceMode::from_env();
     let csv_shards = netsim::shard_count_from_env();
     let mut shard_counts = env_list("FIG18_SHARDS", &[1, 4]);
@@ -122,8 +115,7 @@ fn main() {
     println!("# Fig. 18: scale sweep — permutation traffic, seed {seed}");
     println!(
         "# rings {ring_sizes:?}, fat-trees {fat_tree_ks:?}, {packets_per_flow} pkts/flow, \
-         CSV lookup path: {}, CSV trace mode: {}, CSV shards: {csv_shards}, reps: {reps}",
-        csv_lookup.label(),
+         CSV trace mode: {}, CSV shards: {csv_shards}, reps: {reps}",
         csv_mode.label()
     );
     println!("{CSV_HEADER}");
@@ -132,32 +124,22 @@ fn main() {
         for plane in [Plane::Static, Plane::Nes] {
             for &shards in &shard_counts {
                 let shards = shards as u32;
-                for lookup in [LookupPath::Linear, LookupPath::Indexed] {
-                    for mode in [TraceMode::Full, TraceMode::StatsOnly] {
-                        let selected =
-                            lookup == csv_lookup && mode == csv_mode && shards == csv_shards;
-                        // Multi-shard rows ride the indexed path only (the
-                        // headline measurement) unless explicitly selected.
-                        if !selected && shards != 1 && lookup != LookupPath::Indexed {
-                            continue;
-                        }
-                        // Non-selected combinations only feed the JSON
-                        // trajectory; skip them when it is disabled.
-                        if !selected && json_path.is_empty() {
-                            continue;
-                        }
-                        let row = run_point(
-                            gen, topology, param, plane, &workload, lookup, mode, shards, reps,
-                        );
-                        if selected {
-                            let mut csv_row = row.clone();
-                            if canonical {
-                                csv_row.wall_us = 0;
-                            }
-                            println!("{}", csv_row.csv());
-                        }
-                        json_rows.push(JsonRow { lookup, mode, row });
+                for mode in [TraceMode::Full, TraceMode::StatsOnly] {
+                    let selected = mode == csv_mode && shards == csv_shards;
+                    // Non-selected combinations only feed the JSON
+                    // trajectory; skip them when it is disabled.
+                    if !selected && json_path.is_empty() {
+                        continue;
                     }
+                    let row = run_point(gen, topology, param, plane, &workload, mode, shards, reps);
+                    if selected {
+                        let mut csv_row = row.clone();
+                        if canonical {
+                            csv_row.wall_us = 0;
+                        }
+                        println!("{}", csv_row.csv());
+                    }
+                    json_rows.push(JsonRow { mode, row });
                 }
             }
         }

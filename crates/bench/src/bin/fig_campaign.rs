@@ -142,7 +142,7 @@ fn main() {
          deploy_us_per_config,vm_hwm_kb,verdict,{drop_cols}"
     );
 
-    let compile = nes_runtime::DeployKnobs::from_env().compile.label();
+    let compile = nes_runtime::CompilePath::Scratch.label();
     let mut json = String::new();
     let mut baseline: Option<Stats> = None;
     for (name, check) in [("throughput", false), ("verified", true)] {

@@ -9,8 +9,7 @@
 
 use edn_obs::{MinWall, Registry, Stopwatch};
 use edn_topo::{shortest_path_config, synthesize, GenTopology, Workload};
-use nes_runtime::{nes_engine_with_path, StaticDataPlane};
-use netkat::LookupPath;
+use nes_runtime::{nes_engine, StaticDataPlane};
 use netsim::traffic::{udp_packet, UdpFlowSpec};
 use netsim::{DataPlane, DropReason, Engine, SimParams, SimTime, SinkHosts, Stats, TraceMode};
 
@@ -161,14 +160,12 @@ impl SweepRow {
 }
 
 /// Runs one sweep point: `workload` over `gen` on the chosen plane,
-/// dispatching table lookups through `path`, recording (or not) the
-/// trace per `mode`, and running the event loop on `shards` engine
-/// shards ([`Engine::with_shards`]).
+/// recording (or not) the trace per `mode`, and running the event loop on
+/// `shards` engine shards ([`Engine::with_shards`]).
 ///
-/// Every column except `wall_us` is independent of `path`, `mode`, and
-/// `shards` — that is the equivalence the plumbing/lookup differential
-/// tests (and the CI per-path, per-mode, per-shard-count CSV
-/// comparisons) pin down. The event queue implementation and packet path
+/// Every column except `wall_us` is independent of `mode` and `shards` —
+/// that is the equivalence the plumbing differential tests (and the CI
+/// per-mode, per-shard-count CSV comparisons) pin down. The event queue implementation and packet path
 /// come from the environment (`EDN_QUEUE`, `EDN_PACKETS`), which CI also
 /// sweeps.
 ///
@@ -189,7 +186,6 @@ pub fn run_point(
     param: u64,
     plane: Plane,
     workload: &Workload,
-    path: LookupPath,
     mode: TraceMode,
     shards: u32,
     reps: u32,
@@ -207,7 +203,7 @@ pub fn run_point(
                 let mut engine = Engine::new(
                     gen.sim().clone(),
                     SimParams::default(),
-                    StaticDataPlane::with_path(config, path),
+                    StaticDataPlane::new(config),
                     Box::new(SinkHosts),
                 )
                 .with_trace_mode(mode)
@@ -222,13 +218,12 @@ pub fn run_point(
             Plane::Nes => {
                 let (inside, outside) = (gen.hosts()[0], *gen.hosts().last().expect("hosts"));
                 let nes = edn_apps::generated::firewall_nes(gen, inside, outside);
-                let mut engine = nes_engine_with_path(
+                let mut engine = nes_engine(
                     nes,
                     gen.sim().clone(),
                     SimParams::default(),
                     false,
                     Box::new(SinkHosts),
-                    path,
                 )
                 .with_trace_mode(mode)
                 .with_shards(shards);
@@ -295,68 +290,28 @@ mod tests {
     fn sweep_point_is_deterministic_modulo_wall_clock() {
         let gen = ring(8, LinkProfile::default());
         for plane in [Plane::Static, Plane::Nes] {
-            for path in [LookupPath::Linear, LookupPath::Indexed] {
-                let mut a = run_point(
-                    &gen,
-                    "ring",
-                    8,
-                    plane,
-                    &small_workload(),
-                    path,
-                    TraceMode::Full,
-                    1,
-                    1,
-                );
-                let mut b = run_point(
-                    &gen,
-                    "ring",
-                    8,
-                    plane,
-                    &small_workload(),
-                    path,
-                    TraceMode::Full,
-                    1,
-                    1,
-                );
-                a.wall_us = 0;
-                b.wall_us = 0;
-                assert_eq!(a, b, "{} rows differ", plane.label());
-                assert!(a.events > 0 && a.deliveries > 0);
-            }
+            let run =
+                || run_point(&gen, "ring", 8, plane, &small_workload(), TraceMode::Full, 1, 1);
+            let (mut a, mut b) = (run(), run());
+            a.wall_us = 0;
+            b.wall_us = 0;
+            assert_eq!(a, b, "{} rows differ", plane.label());
+            assert!(a.events > 0 && a.deliveries > 0);
         }
     }
 
     #[test]
-    fn lookup_paths_and_trace_modes_produce_identical_rows() {
+    fn trace_modes_produce_identical_rows() {
         let gen = ring(8, LinkProfile::default());
         for plane in [Plane::Static, Plane::Nes] {
-            let mut reference = run_point(
-                &gen,
-                "ring",
-                8,
-                plane,
-                &small_workload(),
-                LookupPath::Linear,
-                TraceMode::Full,
-                1,
-                1,
-            );
-            reference.wall_us = 0;
-            for path in [LookupPath::Linear, LookupPath::Indexed] {
-                for mode in [TraceMode::Full, TraceMode::StatsOnly] {
-                    let mut row =
-                        run_point(&gen, "ring", 8, plane, &small_workload(), path, mode, 1, 1);
-                    row.wall_us = 0;
-                    assert_eq!(
-                        row,
-                        reference,
-                        "{} rows differ on {}/{}",
-                        plane.label(),
-                        path.label(),
-                        mode.label()
-                    );
-                }
-            }
+            let run = |mode| {
+                let mut row = run_point(&gen, "ring", 8, plane, &small_workload(), mode, 1, 1);
+                row.wall_us = 0;
+                row
+            };
+            let reference = run(TraceMode::Full);
+            let row = run(TraceMode::StatsOnly);
+            assert_eq!(row, reference, "{} rows differ on stats-only", plane.label());
         }
     }
 
@@ -364,30 +319,12 @@ mod tests {
     fn sharded_rows_match_single_threaded() {
         let gen = ring(8, LinkProfile::default());
         for plane in [Plane::Static, Plane::Nes] {
-            let mut solo = run_point(
-                &gen,
-                "ring",
-                8,
-                plane,
-                &small_workload(),
-                LookupPath::Indexed,
-                TraceMode::Full,
-                1,
-                1,
-            );
+            let mut solo =
+                run_point(&gen, "ring", 8, plane, &small_workload(), TraceMode::Full, 1, 1);
             // Two repetitions must not change any deterministic column
             // either (reps only tighten the wall-clock estimate).
-            let mut sharded = run_point(
-                &gen,
-                "ring",
-                8,
-                plane,
-                &small_workload(),
-                LookupPath::Indexed,
-                TraceMode::Full,
-                2,
-                2,
-            );
+            let mut sharded =
+                run_point(&gen, "ring", 8, plane, &small_workload(), TraceMode::Full, 2, 2);
             assert_eq!(sharded.shards, 2);
             solo.wall_us = 0;
             solo.shards = 0;
@@ -403,32 +340,14 @@ mod tests {
     #[test]
     fn fat_tree_point_delivers_traffic_on_both_planes() {
         let gen = fat_tree(4, TierProfile::default());
-        let stat = run_point(
-            &gen,
-            "fat-tree",
-            4,
-            Plane::Static,
-            &small_workload(),
-            LookupPath::Indexed,
-            TraceMode::Full,
-            1,
-            1,
-        );
+        let run =
+            |plane| run_point(&gen, "fat-tree", 4, plane, &small_workload(), TraceMode::Full, 1, 1);
+        let stat = run(Plane::Static);
         assert_eq!(stat.switches, 20);
         assert_eq!(stat.rules, 20 * 16);
         assert_eq!(stat.flows, 16);
         assert!(stat.deliveries > 0 && stat.events > stat.datagrams);
-        let nes = run_point(
-            &gen,
-            "fat-tree",
-            4,
-            Plane::Nes,
-            &small_workload(),
-            LookupPath::Indexed,
-            TraceMode::Full,
-            1,
-            1,
-        );
+        let nes = run(Plane::Nes);
         assert!(nes.deliveries > 0);
         assert!(nes.rules > stat.rules, "tagged configs outweigh one static config");
     }
@@ -436,17 +355,8 @@ mod tests {
     #[test]
     fn csv_row_shape_matches_header() {
         let gen = ring(4, LinkProfile::default());
-        let row = run_point(
-            &gen,
-            "ring",
-            4,
-            Plane::Static,
-            &small_workload(),
-            LookupPath::Linear,
-            TraceMode::Full,
-            1,
-            1,
-        );
+        let row =
+            run_point(&gen, "ring", 4, Plane::Static, &small_workload(), TraceMode::Full, 1, 1);
         assert_eq!(row.csv().split(',').count(), CSV_HEADER.split(',').count());
         assert!(row.ns_per_event() > 0.0);
     }

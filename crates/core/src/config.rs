@@ -61,6 +61,11 @@ impl Config {
         self.tables.get(&switch)
     }
 
+    /// Consumes the configuration, yielding each switch's table.
+    pub fn into_tables(self) -> impl Iterator<Item = (u64, FlowTable)> {
+        self.tables.into_iter()
+    }
+
     /// Adds a directed link.
     pub fn add_link(&mut self, src: Loc, dst: Loc) {
         self.links.insert((src, dst));

@@ -44,44 +44,22 @@ use crate::field::{Field, Value};
 use crate::flowtable::{FlowTable, Rule};
 use crate::packet::{FieldReader, Packet};
 
-/// Which lookup implementation a data plane dispatches through.
-///
-/// The indexed path is the default; the linear path is the reference
-/// semantics, kept selectable (env var `EDN_LOOKUP`) so any simulation can
-/// be replayed on both paths and diffed — speed must never silently change
-/// meaning.
+/// Which lookup implementation a data plane dispatches through: always the
+/// compiled index. [`FlowTable`]'s linear scan is the executable spec the
+/// index is tested against, not a production path. The type stays because
+/// the benchmark harness names it in its deployment knobs and prints its
+/// label.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum LookupPath {
-    /// The reference implementation: [`FlowTable`]'s linear first-match
-    /// scan.
-    Linear,
     /// The compiled index: [`CompiledTable`].
     #[default]
     Indexed,
 }
 
 impl LookupPath {
-    /// Reads the path from the `EDN_LOOKUP` environment variable
-    /// (`linear` or `indexed`); unset means [`LookupPath::Indexed`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `EDN_LOOKUP` is set to anything else.
-    pub fn from_env() -> LookupPath {
-        match std::env::var("EDN_LOOKUP") {
-            Ok(v) if v == "linear" => LookupPath::Linear,
-            Ok(v) if v == "indexed" => LookupPath::Indexed,
-            Ok(v) => panic!("EDN_LOOKUP must be `linear` or `indexed`, got {v:?}"),
-            Err(_) => LookupPath::Indexed,
-        }
-    }
-
-    /// The label used in benchmark output (`linear` / `indexed`).
+    /// The label used in benchmark output.
     pub fn label(&self) -> &'static str {
-        match self {
-            LookupPath::Linear => "linear",
-            LookupPath::Indexed => "indexed",
-        }
+        "indexed"
     }
 }
 
@@ -215,8 +193,8 @@ thread_local! {
 
 /// A flow table compiled for fast lookup.
 ///
-/// Built once from a [`FlowTable`]; holds its own copy of the rules plus
-/// the segment index. Lookup results are *identical* to the source table's
+/// Built once from a rule list in priority order; owns the rules plus the
+/// segment index. Lookup results are *identical* to the source table's
 /// — see the module docs for the construction and the differential tests.
 #[derive(Clone, Debug, Default)]
 pub struct CompiledTable {
@@ -293,10 +271,17 @@ fn segment_runs(rules: &[Rule]) -> Vec<Segment> {
 }
 
 impl CompiledTable {
-    /// Compiles a table: splits it into signature runs, hashes the long
-    /// ones, and derives the cross-segment field prefetch.
+    /// Compiles a table: [`from_rules`](CompiledTable::from_rules) on a
+    /// copy of its rules.
     pub fn compile(table: &FlowTable) -> CompiledTable {
-        let rules: Vec<Rule> = table.iter().cloned().collect();
+        CompiledTable::from_rules(table.iter().cloned())
+    }
+
+    /// Compiles rules in priority order (highest first), taking ownership
+    /// of them: splits them into signature runs, hashes the long ones, and
+    /// derives the cross-segment field prefetch.
+    pub fn from_rules<I: IntoIterator<Item = Rule>>(rules: I) -> CompiledTable {
+        let rules: Vec<Rule> = rules.into_iter().collect();
         let mut segments = segment_runs(&rules);
         let mut prefetch_set: BTreeSet<Field> = BTreeSet::new();
         let mut hash_segments = 0usize;
@@ -476,6 +461,11 @@ impl CompiledTable {
     /// Number of rules.
     pub fn len(&self) -> usize {
         self.rules.len()
+    }
+
+    /// Iterates over the rules in priority order.
+    pub fn iter(&self) -> impl Iterator<Item = &Rule> + '_ {
+        self.rules.iter()
     }
 
     /// Returns `true` if the table has no rules.
@@ -670,9 +660,8 @@ mod tests {
     }
 
     #[test]
-    fn lookup_path_labels_and_default() {
+    fn indexed_lookup_label_and_default() {
         assert_eq!(LookupPath::default(), LookupPath::Indexed);
-        assert_eq!(LookupPath::Linear.label(), "linear");
         assert_eq!(LookupPath::Indexed.label(), "indexed");
     }
 }
@@ -682,6 +671,7 @@ mod proptests {
     use super::*;
     use crate::action::{Action, ActionSet};
     use crate::flowtable::Match;
+    use crate::packet::{Loc, LocatedView};
     use proptest::prelude::*;
 
     /// A small field universe keeps random packets colliding with random
@@ -809,12 +799,18 @@ mod proptests {
         }
 
         // The index resolves to the *same rule index* as the reference
-        // linear scan — not just an extensionally equal rule.
+        // linear scan — not just an extensionally equal rule. The data
+        // planes' read path, a zero-copy `LocatedView` that overrides the
+        // location and (optionally) the tag, must resolve exactly as the
+        // spec does on the materialized located, tagged packet.
         #[test]
         fn compiled_lookup_index_equals_reference(
             table in arb_table(),
             pks in proptest::collection::vec(arb_packet(), 1..8),
             picks in arb_derivations(),
+            sw in 0u64..6,
+            pt in 0u64..6,
+            tag in proptest::option::of(0u64..6),
         ) {
             let compiled = table.compile();
             for pk in pks.iter().chain(derived_packets(&table, &picks).iter()) {
@@ -824,6 +820,23 @@ mod proptests {
                     compiled.lookup(pk),
                     table.lookup(pk),
                     "rule diverged on {}", pk
+                );
+                let loc = Loc::new(sw, pt);
+                let view = LocatedView { base: pk, loc, tag };
+                let mut located = pk.clone();
+                located.set_loc(loc);
+                if let Some(t) = tag {
+                    located.set(Field::Tag, t);
+                }
+                prop_assert_eq!(
+                    compiled.lookup_index_on(&view),
+                    table.lookup_index(&located),
+                    "view index diverged on {}", located
+                );
+                prop_assert_eq!(
+                    compiled.lookup_on(&view),
+                    table.lookup(&located),
+                    "view rule diverged on {}", located
                 );
             }
         }

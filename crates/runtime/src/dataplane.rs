@@ -14,7 +14,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use edn_core::{EventId, EventSet};
-use netkat::{Field, FxBuildHasher, Loc, LocatedView, LookupPath, Packet, PacketArena, PacketId};
+use netkat::{Field, FxBuildHasher, Loc, LocatedView, Packet, PacketArena, PacketId};
 use netsim::{table_outputs, CtrlMsg, DataPlane, SimTime, StepResult, StepResultId};
 
 use crate::compile::CompiledNes;
@@ -28,9 +28,6 @@ pub struct NesDataPlane {
     /// The installed tables: one tag-guarded program per switch
     /// (Section 4.1), every configuration compiled from scratch.
     programs: BTreeMap<u64, SwitchProgram>,
-    /// The lookup path through `programs`, fixed at construction so runs
-    /// never consult the environment mid-flight.
-    path: LookupPath,
     /// Per-switch known events (`E` in Fig. 7), dense: `local[slot]` with
     /// slots assigned by `switch_slot`. The switch step reads and writes
     /// this two or three times per packet, so it must not walk a tree.
@@ -65,35 +62,18 @@ pub struct NesDataPlane {
 }
 
 impl NesDataPlane {
-    /// Deploys a compiled NES on the given switches, with the lookup path
-    /// taken from the environment (`EDN_LOOKUP`).
+    /// Deploys a compiled NES on the given switches.
     pub fn new(compiled: CompiledNes, switches: Vec<u64>, broadcast: bool) -> NesDataPlane {
-        NesDataPlane::with_knobs(compiled, switches, broadcast, DeployKnobs::from_env())
+        NesDataPlane::with_knobs(compiled, switches, broadcast, DeployKnobs::default())
     }
 
-    /// Deploys a compiled NES on an explicit lookup path.
-    pub fn with_path(
-        compiled: CompiledNes,
-        switches: Vec<u64>,
-        broadcast: bool,
-        path: LookupPath,
-    ) -> NesDataPlane {
-        NesDataPlane::with_knobs(
-            compiled,
-            switches,
-            broadcast,
-            DeployKnobs::default().with_path(path),
-        )
-    }
-
-    /// Deploys a compiled NES with every knob pinned explicitly — the
-    /// constructor the differential suites use, so in-process test legs
-    /// never race on environment variables.
+    /// [`new`](NesDataPlane::new) with explicit deployment knobs. Every
+    /// knob has a single setting, so this deploys exactly as `new` does.
     pub fn with_knobs(
         compiled: CompiledNes,
         switches: Vec<u64>,
         broadcast: bool,
-        knobs: DeployKnobs,
+        _knobs: DeployKnobs,
     ) -> NesDataPlane {
         let switch_slot =
             switches.iter().enumerate().map(|(i, &s)| (s, i as u32)).collect::<HashMap<_, _, _>>();
@@ -102,7 +82,6 @@ impl NesDataPlane {
         NesDataPlane {
             compiled,
             programs,
-            path: knobs.path,
             local,
             switch_slot,
             controller: EventSet::empty(),
@@ -125,11 +104,6 @@ impl NesDataPlane {
         let tag = self.compiled.tag_for_known(known);
         self.effective_cache.insert(known, (effective, tag));
         (effective, tag)
-    }
-
-    /// The lookup path this deployment dispatches through.
-    pub fn lookup_path(&self) -> LookupPath {
-        self.path
     }
 
     /// The compiled NES.
@@ -240,7 +214,7 @@ impl DataPlane for NesDataPlane {
         lookup.set_loc(Loc::new(sw, pt));
         lookup.set(Field::Tag, tag);
         let mut out = Vec::new();
-        if let Some(rule) = self.programs.get(&sw).and_then(|p| p.lookup_on(self.path, &lookup)) {
+        if let Some(rule) = self.programs.get(&sw).and_then(|p| p.compiled.lookup_on(&lookup)) {
             rule.actions.apply_into(&lookup, &mut out);
         }
         let mut outputs = table_outputs(pt, out);
@@ -330,7 +304,7 @@ impl DataPlane for NesDataPlane {
         {
             let base = arena.get(stamped);
             let view = LocatedView { base, loc, tag: Some(tag) };
-            let rule = self.programs.get(&sw).and_then(|p| p.lookup_on(self.path, &view));
+            let rule = self.programs.get(&sw).and_then(|p| p.compiled.lookup_on(&view));
             if let Some(rule) = rule {
                 if rule.actions.len() == 1 {
                     let action = rule.actions.iter().next().expect("len 1");
@@ -566,33 +540,6 @@ mod tests {
         // Without broadcast, no pushes.
         let mut quiet = NesDataPlane::new(CompiledNes::compile(firewall_nes()), vec![1, 2], false);
         assert!(quiet.on_notify(CtrlMsg::Events(1), SimTime::ZERO).is_empty());
-    }
-
-    #[test]
-    fn lookup_paths_agree_step_by_step() {
-        // Drive the same packet sequence through a linear-path and an
-        // indexed-path deployment; every step must produce identical
-        // outputs, notifications, and switch state.
-        let mk = |path| {
-            NesDataPlane::with_path(CompiledNes::compile(firewall_nes()), vec![1], false, path)
-        };
-        let mut linear = mk(LookupPath::Linear);
-        let mut indexed = mk(LookupPath::Indexed);
-        assert_eq!(indexed.lookup_path(), LookupPath::Indexed);
-        let steps = [
-            (2u64, 999u64, true),
-            (3, 200, true), // blocked pre-event
-            (2, 300, true), // fires e0
-            (3, 200, true), // allowed post-event
-            (9, 300, false),
-        ];
-        for (pt, dst, from_host) in steps {
-            let pk = Packet::new().with(Field::IpDst, dst);
-            let a = linear.process(1, pt, pk.clone(), from_host, SimTime::ZERO);
-            let b = indexed.process(1, pt, pk, from_host, SimTime::ZERO);
-            assert_eq!(a, b, "paths diverged at pt {pt}, dst {dst}");
-            assert_eq!(linear.local_events(1), indexed.local_events(1));
-        }
     }
 
     #[test]

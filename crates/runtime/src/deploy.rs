@@ -2,9 +2,10 @@
 //!
 //! An NES deploys as one tag-guarded [`SwitchProgram`](crate::SwitchProgram)
 //! per switch (Section 4.1): every configuration compiled from scratch and
-//! interleaved, the tag guard selecting the packet's own configuration. The
-//! only deployment choice left is the lookup path through those tables
-//! (`EDN_LOOKUP`): the compiled index or the linear reference scan.
+//! interleaved, the tag guard selecting the packet's own configuration,
+//! looked up through the compiled index. No deployment choice is left:
+//! each knob below has one variant, and [`DeployKnobs`] survives only
+//! because the benchmark harness names it.
 
 use netkat::LookupPath;
 
@@ -44,28 +45,15 @@ impl OptimizeMode {
     }
 }
 
-/// The full set of deployment knobs, resolved once at construction so runs
-/// never consult the environment mid-flight.
+/// The deployment knobs, each with a single setting.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct DeployKnobs {
-    /// Flow-table lookup implementation (`EDN_LOOKUP`).
+    /// Flow-table lookup implementation (always the compiled index).
     pub path: LookupPath,
     /// Table construction (always from scratch).
     pub compile: CompilePath,
     /// Rule-sharing optimizer on the lookup path (always off).
     pub optimize: OptimizeMode,
-}
-
-impl DeployKnobs {
-    /// Resolves every knob from the environment.
-    pub fn from_env() -> DeployKnobs {
-        DeployKnobs::default().with_path(LookupPath::from_env())
-    }
-
-    /// These knobs with an explicit lookup path.
-    pub fn with_path(self, path: LookupPath) -> DeployKnobs {
-        DeployKnobs { path, ..self }
-    }
 }
 
 #[cfg(test)]
@@ -106,26 +94,23 @@ mod tests {
         .unwrap()
     }
 
-    /// Unknown switches and out-of-range tags drop on every lookup path.
+    /// Unknown switches and out-of-range tags drop.
     #[test]
     fn unknown_switch_or_tag_drops_everywhere() {
-        for path in [LookupPath::Linear, LookupPath::Indexed] {
-            let knobs = DeployKnobs::default().with_path(path);
-            let mut dp = NesDataPlane::with_knobs(
-                CompiledNes::compile(firewall_nes()),
-                vec![1],
-                false,
-                knobs,
-            );
-            let pk = Packet::new().with(Field::IpDst, 300).with(Field::Tag, 0);
-            let known = dp.process(1, 2, pk.clone(), false, SimTime::ZERO);
-            assert_eq!(known.outputs.len(), 1, "{}: the known switch forwards", path.label());
-            let r = dp.process(77, 2, pk, false, SimTime::ZERO);
-            assert!(r.outputs.is_empty(), "{}: unknown switch", path.label());
-            let bad_tag = Packet::new().with(Field::IpDst, 300).with(Field::Tag, 99);
-            let r = dp.process(1, 2, bad_tag, false, SimTime::ZERO);
-            assert!(r.outputs.is_empty(), "{}: unknown tag", path.label());
-        }
+        let mut dp = NesDataPlane::with_knobs(
+            CompiledNes::compile(firewall_nes()),
+            vec![1],
+            false,
+            DeployKnobs::default(),
+        );
+        let pk = Packet::new().with(Field::IpDst, 300).with(Field::Tag, 0);
+        let known = dp.process(1, 2, pk.clone(), false, SimTime::ZERO);
+        assert_eq!(known.outputs.len(), 1, "the known switch forwards");
+        let r = dp.process(77, 2, pk, false, SimTime::ZERO);
+        assert!(r.outputs.is_empty(), "unknown switch");
+        let bad_tag = Packet::new().with(Field::IpDst, 300).with(Field::Tag, 99);
+        let r = dp.process(1, 2, bad_tag, false, SimTime::ZERO);
+        assert!(r.outputs.is_empty(), "unknown tag");
     }
 
     #[test]
@@ -134,8 +119,8 @@ mod tests {
         assert_eq!(CompilePath::Scratch.label(), "scratch");
         assert_eq!(OptimizeMode::default(), OptimizeMode::Off);
         assert_eq!(OptimizeMode::Off.label(), "off");
-        let knobs = DeployKnobs::default().with_path(LookupPath::Linear);
-        assert_eq!(knobs.path, LookupPath::Linear);
+        let knobs = DeployKnobs::default();
+        assert_eq!(knobs.path, LookupPath::Indexed);
         assert_eq!(knobs.compile, CompilePath::Scratch);
         assert_eq!(knobs.optimize, OptimizeMode::Off);
     }

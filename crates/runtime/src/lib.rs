@@ -44,7 +44,6 @@ pub use reliable::{retry_budget_from_env, Reliable};
 pub use static_plane::StaticDataPlane;
 pub use uncoordinated::UncoordDataPlane;
 pub use verify::{
-    attach_online_checker, nes_engine, nes_engine_with, nes_engine_with_path,
-    nes_reliable_engine_with, uncoordinated_engine, verify_nes_run, verify_reliable_nes_run,
-    verify_uncoordinated_run,
+    attach_online_checker, nes_engine, nes_engine_with, nes_reliable_engine_with,
+    uncoordinated_engine, verify_nes_run, verify_reliable_nes_run, verify_uncoordinated_run,
 };

@@ -11,7 +11,7 @@
 
 use std::fmt;
 
-use netkat::{CompiledTable, Field, FieldReader, FlowTable, Loc, LookupPath, Match, Packet, Rule};
+use netkat::{CompiledTable, Field, Loc, Match, Packet, Rule};
 
 use crate::compile::CompiledNes;
 
@@ -21,14 +21,11 @@ pub struct SwitchProgram {
     /// The switch.
     pub switch: u64,
     /// The tag-guarded forwarding table (all configurations interleaved,
-    /// grouped by tag, first match wins within the packet's tag). This is
-    /// the reference representation; [`SwitchProgram::apply`] dispatches
-    /// through the [`compiled`](SwitchProgram::compiled) index built from
-    /// it at construction.
-    pub table: FlowTable,
-    /// The indexed form of [`table`](SwitchProgram::table), compiled once
-    /// at construction — the tag guard makes every per-tag block a
-    /// hashable same-signature run.
+    /// grouped by tag, first match wins within the packet's tag), compiled
+    /// once at construction — the tag guard makes every per-tag block a
+    /// hashable same-signature run. This is the only stored copy of the
+    /// rules; the index's differential tests pin it to
+    /// [`FlowTable::apply`](netkat::FlowTable::apply).
     pub compiled: CompiledTable,
     /// Stamping entries: `(tag, ingress ports)` — on ingress from a host,
     /// a packet is stamped with the switch's current tag.
@@ -41,21 +38,9 @@ pub struct SwitchProgram {
 impl SwitchProgram {
     /// Looks up the forwarding behaviour for a tagged packet through the
     /// compiled index, which must agree with the packet's configuration
-    /// table (and, by the index's differential tests, with the reference
-    /// [`FlowTable::apply`] on [`table`](SwitchProgram::table)).
+    /// table.
     pub fn apply(&self, packet: &Packet) -> std::collections::BTreeSet<Packet> {
         self.compiled.apply(packet)
-    }
-
-    /// The first matching rule for a located, tagged packet read through
-    /// `view`, on the chosen lookup path: the linear reference scan of
-    /// [`table`](SwitchProgram::table) or the [`compiled`](SwitchProgram::compiled)
-    /// index.
-    pub(crate) fn lookup_on<R: FieldReader>(&self, path: LookupPath, view: &R) -> Option<&Rule> {
-        match path {
-            LookupPath::Linear => self.table.lookup_on(view),
-            LookupPath::Indexed => self.compiled.lookup_on(view),
-        }
     }
 }
 
@@ -66,7 +51,10 @@ impl fmt::Display for SwitchProgram {
         for (tag, event, m) in &self.detections {
             writeln!(f, "  detect: in state {tag}, arrival matching {m} fires e{event}")?;
         }
-        write!(f, "{}", self.table)
+        for (i, r) in self.compiled.iter().enumerate() {
+            writeln!(f, "[{i:3}] {r}")?;
+        }
+        Ok(())
     }
 }
 
@@ -105,9 +93,8 @@ impl CompiledNes {
                 }
             }
         }
-        let table = FlowTable::from_rules(rules);
-        let compiled = table.compile();
-        SwitchProgram { switch, table, compiled, stamp_tags, detections }
+        let compiled = CompiledTable::from_rules(rules);
+        SwitchProgram { switch, compiled, stamp_tags, detections }
     }
 
     /// Every switch's program.
@@ -134,7 +121,7 @@ pub fn tagged_lookup(packet: &Packet, loc: Loc, tag: u64) -> Packet {
 mod tests {
     use super::*;
     use edn_core::{Config, Event, EventId, EventSet, EventStructure, NetworkEventStructure};
-    use netkat::{Action, ActionSet, Pred};
+    use netkat::{Action, ActionSet, FlowTable, LocatedView, Pred};
 
     fn firewall_nes() -> NetworkEventStructure {
         let mk = |rules: Vec<Rule>| {
@@ -205,8 +192,9 @@ mod tests {
 
     /// Every switch's guarded program behaves, for every tag, exactly like
     /// that tag's own configuration table (modulo the tag field the guard
-    /// leaves on the packet), on both lookup paths. A switch without a
-    /// table in some configuration drops that configuration's packets.
+    /// leaves on the packet), on the materialized tagged packet and on the
+    /// data planes' zero-copy view alike. A switch without a table in some
+    /// configuration drops that configuration's packets.
     #[test]
     fn guarded_lookup_agrees_with_per_tag_configs() {
         let inputs = [
@@ -238,12 +226,19 @@ mod tests {
                                 let want = table.apply(&untagged);
                                 assert_eq!(got, want, "sw {sw}, tag {tag}, pt {pt}, dst {dst}");
                                 let want_rule = table.lookup(&untagged).map(|r| &r.actions);
-                                for path in [LookupPath::Linear, LookupPath::Indexed] {
+                                let view = LocatedView {
+                                    base: &base,
+                                    loc: Loc::new(sw, pt),
+                                    tag: Some(tag),
+                                };
+                                for got_rule in [
+                                    program.compiled.lookup(&tagged),
+                                    program.compiled.lookup_on(&view),
+                                ] {
                                     assert_eq!(
-                                        program.lookup_on(path, &tagged).map(|r| &r.actions),
+                                        got_rule.map(|r| &r.actions),
                                         want_rule,
-                                        "{} lookup: sw {sw}, tag {tag}, pt {pt}, dst {dst}",
-                                        path.label()
+                                        "lookup: sw {sw}, tag {tag}, pt {pt}, dst {dst}"
                                     );
                                 }
                             }
@@ -258,7 +253,8 @@ mod tests {
     fn compiled_index_mirrors_reference_table() {
         let compiled = CompiledNes::compile(firewall_nes());
         let program = compiled.switch_program(1);
-        assert_eq!(program.compiled.len(), program.table.len());
+        let table = FlowTable::from_rules(program.compiled.iter().cloned());
+        assert!(program.to_string().ends_with(&table.to_string()));
         for tag in 0..compiled.tag_count() as u64 {
             for pt in [2u64, 3, 9] {
                 for dst in [200u64, 300, 7] {
@@ -266,10 +262,10 @@ mod tests {
                         tagged_lookup(&Packet::new().with(Field::IpDst, dst), Loc::new(1, pt), tag);
                     assert_eq!(
                         program.compiled.lookup_index(&pk),
-                        program.table.lookup_index(&pk),
+                        table.lookup_index(&pk),
                         "index diverged on {pk}"
                     );
-                    assert_eq!(program.apply(&pk), program.table.apply(&pk));
+                    assert_eq!(program.apply(&pk), table.apply(&pk));
                 }
             }
         }
@@ -278,7 +274,7 @@ mod tests {
     #[test]
     fn guarded_rule_count_equals_breakdown_forwarding() {
         let compiled = CompiledNes::compile(firewall_nes());
-        let total: usize = compiled.switch_programs().iter().map(|p| p.table.len()).sum();
+        let total: usize = compiled.switch_programs().iter().map(|p| p.compiled.len()).sum();
         assert_eq!(total, compiled.rule_breakdown().forwarding);
     }
 

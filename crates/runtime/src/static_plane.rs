@@ -8,16 +8,14 @@
 use std::collections::BTreeMap;
 
 use edn_core::Config;
-use netkat::{CompiledTable, Field, Loc, LocatedView, LookupPath, Packet, PacketArena, PacketId};
+use netkat::{CompiledTable, Field, Loc, LocatedView, Packet, PacketArena, PacketId};
 use netsim::{table_outputs, CtrlMsg, DataPlane, SimTime, StepResult, StepResultId};
 
 /// A data plane that forwards under a single fixed [`Config`].
 #[derive(Clone, Debug)]
 pub struct StaticDataPlane {
-    config: Config,
     /// Per-switch compiled tables, built once at deployment.
     index: BTreeMap<u64, CompiledTable>,
-    path: LookupPath,
     /// Reused arena-path buffers (see `NesDataPlane`): lookup and output
     /// packets are built here; a steady-state hop allocates nothing.
     lookup_buf: Packet,
@@ -25,29 +23,13 @@ pub struct StaticDataPlane {
 }
 
 impl StaticDataPlane {
-    /// Deploys the configuration, with the lookup path taken from the
-    /// environment (`EDN_LOOKUP`).
+    /// Deploys the configuration: compiles each switch's table, keeping
+    /// only the compiled index (links and hosts live in the simulator's
+    /// topology).
     pub fn new(config: Config) -> StaticDataPlane {
-        StaticDataPlane::with_path(config, LookupPath::from_env())
-    }
-
-    /// Deploys the configuration on an explicit lookup path.
-    pub fn with_path(config: Config, path: LookupPath) -> StaticDataPlane {
-        let index = config
-            .switches()
-            .filter_map(|sw| config.table(sw).map(|t| (sw, t.compile())))
-            .collect();
-        StaticDataPlane { config, index, path, lookup_buf: Packet::new(), out_buf: Packet::new() }
-    }
-
-    /// The deployed configuration.
-    pub fn config(&self) -> &Config {
-        &self.config
-    }
-
-    /// The lookup path this deployment dispatches through.
-    pub fn lookup_path(&self) -> LookupPath {
-        self.path
+        let index =
+            config.into_tables().map(|(sw, t)| (sw, CompiledTable::from_rules(t))).collect();
+        StaticDataPlane { index, lookup_buf: Packet::new(), out_buf: Packet::new() }
     }
 }
 
@@ -55,10 +37,7 @@ impl DataPlane for StaticDataPlane {
     fn process(&mut self, sw: u64, pt: u64, packet: Packet, _: bool, _: SimTime) -> StepResult {
         let mut lookup = packet;
         lookup.set_loc(Loc::new(sw, pt));
-        let rule = match self.path {
-            LookupPath::Linear => self.config.table(sw).and_then(|t| t.lookup_on(&lookup)),
-            LookupPath::Indexed => self.index.get(&sw).and_then(|t| t.lookup_on(&lookup)),
-        };
+        let rule = self.index.get(&sw).and_then(|t| t.lookup_on(&lookup));
         let mut out = Vec::new();
         if let Some(rule) = rule {
             rule.actions.apply_into(&lookup, &mut out);
@@ -67,8 +46,7 @@ impl DataPlane for StaticDataPlane {
     }
 
     /// The native arena path: a zero-copy [`LocatedView`] table lookup
-    /// (on the plane's selected lookup path) plus the identity-hop fast
-    /// path — a hop whose writes change nothing forwards the input id
+    /// plus the identity-hop fast path — a hop whose writes change nothing forwards the input id
     /// without materializing or interning anything.
     fn process_arena(
         &mut self,
@@ -104,10 +82,7 @@ impl DataPlane for StaticDataPlane {
         let loc = Loc::new(sw, pt);
         let base = arena.get(packet);
         let view = LocatedView { base, loc, tag: None };
-        let rule = match self.path {
-            LookupPath::Linear => self.config.table(sw).and_then(|t| t.lookup_on(&view)),
-            LookupPath::Indexed => self.index.get(&sw).and_then(|t| t.lookup_on(&view)),
-        };
+        let rule = self.index.get(&sw).and_then(|t| t.lookup_on(&view));
         if let Some(rule) = rule {
             if rule.actions.len() == 1 {
                 let action = rule.actions.iter().next().expect("len 1");
@@ -199,21 +174,17 @@ mod tests {
         assert!(dp.process(1, 9, Packet::new(), true, SimTime::ZERO).outputs.is_empty());
         // Controller messages are inert.
         assert!(dp.on_notify(CtrlMsg::Events(1), SimTime::ZERO).is_empty());
-    }
-
-    #[test]
-    fn both_lookup_paths_agree() {
-        let mut linear = StaticDataPlane::with_path(config(), LookupPath::Linear);
-        let mut indexed = StaticDataPlane::with_path(config(), LookupPath::Indexed);
-        assert_eq!(linear.lookup_path(), LookupPath::Linear);
-        assert_eq!(indexed.lookup_path(), LookupPath::Indexed);
+        // Every hop forwards exactly as the spec, the configuration's own
+        // table, does; a switch without a table drops.
+        let spec = config();
         for (sw, pt) in [(1u64, 2u64), (1, 9), (7, 2)] {
             let pk = Packet::new().with(Field::Vlan, 5);
-            assert_eq!(
-                linear.process(sw, pt, pk.clone(), true, SimTime::ZERO),
-                indexed.process(sw, pt, pk, true, SimTime::ZERO),
-                "paths diverged at {sw}:{pt}"
-            );
+            let mut located = pk.clone();
+            located.set_loc(Loc::new(sw, pt));
+            let want =
+                table_outputs(pt, spec.table(sw).map(|t| t.apply(&located)).unwrap_or_default());
+            let got = dp.process(sw, pt, pk, true, SimTime::ZERO);
+            assert_eq!(got.outputs, want, "spec diverged at {sw}:{pt}");
         }
     }
 }

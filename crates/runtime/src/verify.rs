@@ -15,9 +15,7 @@ use crate::uncoordinated::UncoordDataPlane;
 /// Builds an engine running `nes` with the paper's runtime.
 ///
 /// `broadcast` enables the controller-assisted event dissemination. The
-/// flow-table lookup path comes from the environment (`EDN_LOOKUP`,
-/// default indexed); use [`nes_engine_with_path`] to pin it. The shard
-/// count also comes from the environment (`EDN_SHARDS`, default 1 =
+/// shard count comes from the environment (`EDN_SHARDS`, default 1 =
 /// single-threaded); override it with
 /// [`Engine::with_shards`](netsim::Engine::with_shards) — results are
 /// byte-identical at any shard count.
@@ -28,24 +26,11 @@ pub fn nes_engine(
     broadcast: bool,
     hosts: netsim::BoxedHosts,
 ) -> Engine<NesDataPlane> {
-    nes_engine_with(nes, topo, params, broadcast, hosts, DeployKnobs::from_env())
+    nes_engine_with(nes, topo, params, broadcast, hosts, DeployKnobs::default())
 }
 
-/// [`nes_engine`] with an explicit flow-table lookup path.
-pub fn nes_engine_with_path(
-    nes: NetworkEventStructure,
-    topo: SimTopology,
-    params: SimParams,
-    broadcast: bool,
-    hosts: netsim::BoxedHosts,
-    path: netkat::LookupPath,
-) -> Engine<NesDataPlane> {
-    nes_engine_with(nes, topo, params, broadcast, hosts, DeployKnobs::default().with_path(path))
-}
-
-/// [`nes_engine`] with every deployment knob pinned explicitly — the
-/// constructor the differential suites use, so in-process legs never race
-/// on environment variables. The shard count still comes from the
+/// [`nes_engine`] with explicit deployment knobs (each has one setting, so
+/// this builds the same engine). The shard count still comes from the
 /// environment; override with
 /// [`Engine::with_shards`](netsim::Engine::with_shards).
 pub fn nes_engine_with(
@@ -341,7 +326,7 @@ mod tests {
             SimParams::default(),
             false,
             Box::new(ScenarioHosts::new()),
-            DeployKnobs::from_env(),
+            DeployKnobs::default(),
             8,
         )
         .with_channel(netsim::ChannelModel::lossy(99));

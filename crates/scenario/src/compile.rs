@@ -411,14 +411,14 @@ impl CompiledScenario {
     }
 
     /// Builds the coordinated (NES runtime) engine for this scenario:
-    /// lookup path and shard count from the environment (`EDN_LOOKUP`,
-    /// `EDN_SHARDS`), no controller broadcast, sink hosts.
+    /// shard count from the environment (`EDN_SHARDS`), no controller
+    /// broadcast, sink hosts.
     pub fn engine(&self) -> Engine<nes_runtime::NesDataPlane> {
-        self.engine_with(nes_runtime::DeployKnobs::from_env())
+        self.engine_with(nes_runtime::DeployKnobs::default())
     }
 
-    /// [`engine`](CompiledScenario::engine) with the deployment knobs
-    /// pinned explicitly (shard count still from the environment).
+    /// [`engine`](CompiledScenario::engine) with explicit deployment knobs
+    /// (each has one setting; shard count still from the environment).
     pub fn engine_with(
         &self,
         knobs: nes_runtime::DeployKnobs,

@@ -100,7 +100,7 @@ pub fn effective_channel(spec: &ScenarioSpec, opts: &RunOptions) -> ChannelModel
 /// checker's windows (compilation already bounds steps at 63, so this
 /// means a checker regression).
 pub fn run_coordinated(c: &CompiledScenario, opts: &RunOptions) -> ScenarioOutcome {
-    let knobs = nes_runtime::DeployKnobs::from_env();
+    let knobs = nes_runtime::DeployKnobs::default();
     let model = effective_channel(&c.spec, opts);
     if model.is_ideal() {
         let mut engine = c.engine_with(knobs).with_channel(model);

@@ -1,7 +1,6 @@
-//! End-to-end packet-plumbing regression, extending
-//! `lookup_equivalence.rs` to the engine knobs this repo's arena/queue
-//! rework introduced — and to the sharded multi-core event loop: full
-//! simulations replayed across every
+//! End-to-end packet-plumbing regression over the engine knobs this
+//! repo's arena/queue rework introduced — and over the sharded multi-core
+//! event loop: full simulations replayed across every
 //! `{shard count} × {event queue} × {trace mode} × {packet path}`
 //! combination must agree — byte-identical `Stats` everywhere,
 //! byte-identical traces wherever a trace is recorded.
@@ -20,10 +19,7 @@ use edn_core::{NetworkTrace, TraceMode};
 use edn_obs::Scope;
 use edn_scenario::CompiledScenario;
 use edn_topo::{fat_tree, ring, synthesize, LinkProfile, TierProfile, TrafficPattern, Workload};
-use nes_runtime::{
-    nes_engine_with, verify_nes_run, CompilePath, DeployKnobs, NesDataPlane, OptimizeMode,
-};
-use netkat::LookupPath;
+use nes_runtime::{nes_engine_with, verify_nes_run, DeployKnobs, NesDataPlane};
 use netsim::traffic::udp_packet;
 use netsim::{
     ChannelModel, Engine, MetricsLevel, PacketPath, QueueKind, SimParams, SimTime, SinkHosts, Stats,
@@ -38,15 +34,7 @@ struct Knobs {
     path: PacketPath,
     shards: u32,
     metrics: MetricsLevel,
-    deploy: DeployKnobs,
 }
-
-/// The reference deployment: indexed lookups over the guarded tables.
-const REFERENCE_DEPLOY: DeployKnobs = DeployKnobs {
-    path: LookupPath::Indexed,
-    compile: CompilePath::Scratch,
-    optimize: OptimizeMode::Off,
-};
 
 /// The reference corner: one thread, binary heap, full trace, owned
 /// packets, no telemetry — the pre-rework engine, kept runnable exactly
@@ -57,7 +45,6 @@ const REFERENCE: Knobs = Knobs {
     path: PacketPath::Owned,
     shards: 1,
     metrics: MetricsLevel::Off,
-    deploy: REFERENCE_DEPLOY,
 };
 
 /// Widens a requested shard count by the `EDN_SHARDS` environment knob,
@@ -77,7 +64,6 @@ fn knobs_with_shards(shards: u32) -> impl Iterator<Item = Knobs> {
                 path,
                 shards,
                 metrics: MetricsLevel::Off,
-                deploy: REFERENCE_DEPLOY,
             })
         })
     })
@@ -133,7 +119,7 @@ fn ring_run(knobs: Knobs) -> (NetworkTrace, Stats) {
         SimParams::default(),
         false,
         Box::new(SinkHosts),
-        knobs.deploy,
+        DeployKnobs::default(),
     );
     let mut engine = configure(engine, knobs);
     for i in 1..=n {
@@ -177,7 +163,7 @@ fn fat_tree_firewall_run(knobs: Knobs) -> (NetworkTrace, Stats) {
         SimParams::default(),
         false,
         Box::new(SinkHosts),
-        knobs.deploy,
+        DeployKnobs::default(),
     );
     let mut engine = configure(engine, knobs);
     edn_topo::schedule(&mut engine, &flows);
@@ -286,7 +272,7 @@ fn churn_run(c: &CompiledScenario, knobs: Knobs) -> (NetworkTrace, Stats) {
         SimParams::default(),
         false,
         Box::new(SinkHosts),
-        knobs.deploy,
+        DeployKnobs::default(),
     );
     let mut engine = configure(engine, knobs);
     c.apply_actions(&mut engine);
@@ -418,7 +404,7 @@ fn reliable_lossy_runs_replay_identically_across_shard_counts() {
     let c = flapping_ring_scenario();
     let run = |shards: u32| {
         let mut engine = c
-            .reliable_engine_with(REFERENCE_DEPLOY, 8)
+            .reliable_engine_with(DeployKnobs::default(), 8)
             .with_channel(ChannelModel::lossy(13))
             .with_trace_mode(TraceMode::Full)
             .with_shards(shards);
@@ -446,35 +432,6 @@ fn reliable_lossy_runs_replay_identically_across_shard_counts() {
     }
 }
 
-/// The guarded deployment on both lookup paths — the compiled index and
-/// the linear reference scan — replays the §5.2 ring and the fat-tree churn
-/// campaign byte-identically to the reference, solo and sharded. The
-/// lookup implementation may change; the observable run may not.
-#[test]
-fn deployment_layouts_do_not_perturb_results() {
-    fn assert_deploy_invariant(scenario: &str, run: impl Fn(Knobs) -> (NetworkTrace, Stats)) {
-        let (reference_trace, reference_stats) = run(REFERENCE);
-        for lookup in [LookupPath::Indexed, LookupPath::Linear] {
-            for shards in [1, 4] {
-                let knobs = Knobs {
-                    queue: QueueKind::Calendar,
-                    mode: TraceMode::Full,
-                    path: PacketPath::Arena,
-                    shards: effective_shards(shards),
-                    metrics: MetricsLevel::Off,
-                    deploy: REFERENCE_DEPLOY.with_path(lookup),
-                };
-                let (trace, stats) = run(knobs);
-                assert_eq!(stats, reference_stats, "{scenario}: stats diverged on {knobs:?}");
-                assert_eq!(trace, reference_trace, "{scenario}: trace diverged on {knobs:?}");
-            }
-        }
-    }
-    assert_deploy_invariant("ring", ring_run);
-    let campaign = fat_tree_campaign_scenario();
-    assert_deploy_invariant("fat-tree campaign", |k| churn_run(&campaign, k));
-}
-
 /// Telemetry must never perturb simulation results: the ring scenario
 /// replayed at `counters` and `full` (solo and sharded) stays
 /// byte-identical to the metrics-off reference — `Stats`, traces, and the
@@ -490,7 +447,6 @@ fn metrics_levels_do_not_perturb_results() {
                 path: PacketPath::Arena,
                 shards: effective_shards(shards),
                 metrics,
-                deploy: REFERENCE_DEPLOY,
             };
             let (trace, stats) = ring_run(knobs);
             assert_eq!(stats, reference_stats, "stats diverged on {knobs:?}");
@@ -524,7 +480,7 @@ fn sim_scoped_metrics_are_byte_identical_across_shard_counts() {
             SimParams::default(),
             false,
             Box::new(SinkHosts),
-            REFERENCE_DEPLOY,
+            DeployKnobs::default(),
         )
         .with_metrics(MetricsLevel::Counters)
         .with_shards(shards);
@@ -557,7 +513,7 @@ fn seeded_run(n: u64, workload: &Workload, knobs: Knobs) -> (NetworkTrace, Stats
         SimParams::default(),
         false,
         Box::new(SinkHosts),
-        knobs.deploy,
+        DeployKnobs::default(),
     );
     let mut engine = configure(engine, knobs);
     edn_topo::schedule(&mut engine, &flows);
@@ -608,7 +564,6 @@ proptest! {
             path: PacketPath::Arena,
             shards: effective_shards(1),
             metrics: MetricsLevel::Off,
-            deploy: REFERENCE_DEPLOY,
         };
         let (trace, stats) = seeded_run(n, &workload, calendar_arena);
         prop_assert_eq!(&stats, &reference_stats, "calendar+arena stats diverged");
@@ -642,7 +597,6 @@ proptest! {
             path: PacketPath::Arena,
             shards,
             metrics: MetricsLevel::Off,
-            deploy: REFERENCE_DEPLOY,
         };
         let (trace, stats) = seeded_run(n, &workload, sharded);
         prop_assert_eq!(&stats, &reference_stats, "{} shards: stats diverged", shards);

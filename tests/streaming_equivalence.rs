@@ -17,8 +17,7 @@ use edn_topo::{
     attach_stream, fat_tree, ring, synthesize, synthesize_arrivals, ArrivalModel, LinkProfile,
     TierProfile, TrafficPattern, Workload,
 };
-use nes_runtime::{attach_online_checker, nes_engine_with_path, DeployKnobs};
-use netkat::LookupPath;
+use nes_runtime::{attach_online_checker, nes_engine_with, DeployKnobs};
 use netsim::traffic::{udp_packet, UdpFlowSpec};
 use netsim::{PacketPath, QueueKind, SimParams, SimTime, SinkHosts, Stats};
 use proptest::prelude::*;
@@ -47,13 +46,13 @@ fn run_scenario(
     shards: u32,
     online: bool,
 ) -> (NetworkTrace, Stats, Option<bool>) {
-    let engine = nes_engine_with_path(
+    let engine = nes_engine_with(
         nes.clone(),
         topo,
         SimParams::default(),
         false,
         Box::new(SinkHosts),
-        LookupPath::Indexed,
+        DeployKnobs::default(),
     );
     let mut engine = engine
         .with_queue(QueueKind::Calendar)
