@@ -36,11 +36,10 @@
 //! * `CAMPAIGN_JSON` — where to write the summary (default
 //!   `BENCH_campaign.json`; empty string disables).
 
-use edn_bench::{cpu_model, env_u64, nproc};
+use edn_bench::{campaign_spec, cpu_model, env_u64, nproc};
 use edn_obs::Stopwatch;
-use edn_scenario::{CompiledScenario, ModelSpec, ScenarioSpec, TopologySpec, WorkloadSpec};
-use edn_topo::TrafficPattern;
-use netsim::{ChannelModel, DropReason, SimTime, Stats};
+use edn_scenario::CompiledScenario;
+use netsim::{ChannelModel, DropReason, Stats};
 use std::fmt::Write as _;
 
 /// `VmHWM` (peak resident set) of this process, in kilobytes.
@@ -51,34 +50,6 @@ fn vm_hwm_kb() -> u64 {
         .find_map(|l| l.strip_prefix("VmHWM:"))
         .and_then(|v| v.trim().trim_end_matches(" kB").trim().parse().ok())
         .unwrap_or(0)
-}
-
-/// The 20-update fat-tree campaign, as scenario data.
-fn campaign_spec(k: u64, updates: u64, seed: u64) -> ScenarioSpec {
-    let spacing = SimTime::from_millis(100);
-    let start = SimTime::from_millis(100);
-    ScenarioSpec {
-        name: format!("campaign-fattree{k}"),
-        seed,
-        topology: TopologySpec::FatTree(k),
-        horizon: SimTime::ZERO, // auto: past the last flow, step, and probe
-        workload: WorkloadSpec {
-            pattern: TrafficPattern::Permutation,
-            packets_per_flow: 3,
-            spread: start + SimTime::from_micros(spacing.as_micros() * (updates + 2)),
-            model: ModelSpec::Pareto,
-            ..WorkloadSpec::default()
-        },
-        campaign: edn_scenario::CampaignSpec {
-            updates: updates as usize,
-            start,
-            spacing,
-            probe: true,
-            ..edn_scenario::CampaignSpec::default()
-        },
-        channel: edn_scenario::ChannelSpec::default(),
-        actions: Vec::new(),
-    }
 }
 
 /// One leg's measurements.

@@ -10,6 +10,10 @@
 pub mod scale;
 
 use edn_core::NetworkEventStructure;
+use edn_scenario::{
+    CampaignSpec, ChannelSpec, ModelSpec, ScenarioSpec, TopologySpec, WorkloadSpec,
+};
+use edn_topo::TrafficPattern;
 use nes_runtime::{nes_engine, uncoordinated_engine, NesDataPlane, UncoordDataPlane};
 use netsim::traffic::{ping_outcomes, schedule_pings, Ping, PingOutcome, ScenarioHosts};
 use netsim::{RunResult, SimParams, SimTime};
@@ -117,6 +121,38 @@ pub fn cpu_model() -> String {
                 .map(|(_, model)| model.trim().replace('"', "'"))
         })
         .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// A victim-unblock campaign of `updates` steps on fat-tree(`k`), as
+/// scenario data: one step every 100 ms from 100 ms, each witnessed by a
+/// causal probe, under permutation traffic with Pareto flow sizes spread
+/// across the whole campaign. `updates + 1` configurations; 63 updates
+/// fill the online checker's 64-configuration window.
+pub fn campaign_spec(k: u64, updates: u64, seed: u64) -> ScenarioSpec {
+    let spacing = SimTime::from_millis(100);
+    let start = SimTime::from_millis(100);
+    ScenarioSpec {
+        name: format!("campaign-fattree{k}"),
+        seed,
+        topology: TopologySpec::FatTree(k),
+        horizon: SimTime::ZERO, // auto: past the last flow, step, and probe
+        workload: WorkloadSpec {
+            pattern: TrafficPattern::Permutation,
+            packets_per_flow: 3,
+            spread: start + SimTime::from_micros(spacing.as_micros() * (updates + 2)),
+            model: ModelSpec::Pareto,
+            ..WorkloadSpec::default()
+        },
+        campaign: CampaignSpec {
+            updates: updates as usize,
+            start,
+            spacing,
+            probe: true,
+            ..CampaignSpec::default()
+        },
+        channel: ChannelSpec::default(),
+        actions: Vec::new(),
+    }
 }
 
 /// Reads a comma-separated integer list from the environment, falling back

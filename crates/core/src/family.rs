@@ -277,7 +277,7 @@ impl UnionTable {
             prev = Some((t, pos));
         }
         let owners = entries.iter().map(|&(_, mask)| mask).collect();
-        let table = FlowTable::from_rules(entries.into_iter().map(|(r, _)| r.clone())).compile();
+        let table = CompiledTable::from_rules(entries.into_iter().map(|(r, _)| r.clone()));
         UnionTable { present, table, owners }
     }
 }

@@ -1,9 +1,9 @@
 //! Actions: the leaves of forwarding decision diagrams.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
-use crate::field::{Field, Value};
+use crate::field::{record_get, record_set, Field, Value};
 use crate::packet::Packet;
 
 /// A parallel field assignment (one output of a policy).
@@ -11,6 +11,13 @@ use crate::packet::Packet;
 /// An action maps each field it mentions to the value written into it; the
 /// identity action mentions no fields. Sequencing two actions composes them
 /// with the later action overriding.
+///
+/// The writes are stored as a flat field record — `(field, value)` pairs
+/// sorted by field, one per field — like [`Packet`]'s: an action writes
+/// a few fields, and deployment clones every rule's actions into each
+/// of up to 64 tagged configurations, so one small allocation beats a
+/// node-per-field tree. The derived `Ord`/`Hash` see the same sorted pair
+/// sequence a `BTreeMap` would iterate.
 ///
 /// # Examples
 ///
@@ -24,7 +31,7 @@ use crate::packet::Packet;
 /// ```
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Action {
-    writes: BTreeMap<Field, Value>,
+    writes: Vec<(Field, Value)>,
 }
 
 impl Action {
@@ -40,13 +47,13 @@ impl Action {
 
     /// Builder-style addition of a write (later writes override).
     pub fn set(mut self, field: Field, value: Value) -> Action {
-        self.writes.insert(field, value);
+        record_set(&mut self.writes, field, value);
         self
     }
 
     /// Returns the value this action writes into `field`, if any.
     pub fn get(&self, field: Field) -> Option<Value> {
-        self.writes.get(&field).copied()
+        record_get(&self.writes, field)
     }
 
     /// Returns `true` if this is the identity action.
@@ -57,8 +64,8 @@ impl Action {
     /// Sequential composition: first `self`, then `later` (which overrides).
     pub fn then(&self, later: &Action) -> Action {
         let mut writes = self.writes.clone();
-        for (&f, &v) in &later.writes {
-            writes.insert(f, v);
+        for &(f, v) in &later.writes {
+            record_set(&mut writes, f, v);
         }
         Action { writes }
     }
@@ -66,7 +73,7 @@ impl Action {
     /// Applies the action to a packet, returning the rewritten packet.
     pub fn apply(&self, pk: &Packet) -> Packet {
         let mut out = pk.clone();
-        for (&f, &v) in &self.writes {
+        for &(f, v) in &self.writes {
             out.set(f, v);
         }
         out
@@ -74,7 +81,7 @@ impl Action {
 
     /// Iterates over the writes in field order.
     pub fn writes(&self) -> impl Iterator<Item = (Field, Value)> + '_ {
-        self.writes.iter().map(|(&f, &v)| (f, v))
+        self.writes.iter().copied()
     }
 }
 
@@ -96,9 +103,13 @@ impl fmt::Display for Action {
 /// A set of actions: the full result of a policy on a packet.
 ///
 /// The empty set is *drop*; a set with more than one action is *multicast*.
+///
+/// The actions are stored sorted and duplicate-free in one `Vec` (almost
+/// every set holds a single action), so iteration order, `Ord` and `Hash`
+/// are those of the equivalent `BTreeSet`.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct ActionSet {
-    actions: BTreeSet<Action>,
+    actions: Vec<Action>,
 }
 
 impl ActionSet {
@@ -124,14 +135,14 @@ impl ActionSet {
 
     /// Returns `true` if this set is exactly `pass`.
     pub fn is_pass(&self) -> bool {
-        self.actions.len() == 1 && self.actions.iter().next().is_some_and(Action::is_id)
+        matches!(self.actions.as_slice(), [a] if a.is_id())
     }
 
     /// Union of two action sets (multicast).
     pub fn union(&self, other: &ActionSet) -> ActionSet {
-        let mut actions = self.actions.clone();
-        actions.extend(other.actions.iter().cloned());
-        ActionSet { actions }
+        let mut union = self.clone();
+        union.extend(other.actions.iter().cloned());
+        union
     }
 
     /// Applies every action to `pk`, returning the set of output packets.
@@ -144,9 +155,9 @@ impl ActionSet {
     /// (sorted, deduplicated) — but without materializing the set for the
     /// hot single-action case.
     pub fn apply_into(&self, pk: &Packet, out: &mut Vec<Packet>) {
-        match self.actions.len() {
-            0 => {}
-            1 => out.push(self.actions.iter().next().expect("len 1").apply(pk)),
+        match self.actions.as_slice() {
+            [] => {}
+            [a] => out.push(a.apply(pk)),
             _ => out.extend(self.apply(pk)),
         }
     }
@@ -169,13 +180,19 @@ impl ActionSet {
 
 impl FromIterator<Action> for ActionSet {
     fn from_iter<I: IntoIterator<Item = Action>>(iter: I) -> ActionSet {
-        ActionSet { actions: iter.into_iter().collect() }
+        let mut set = ActionSet::drop();
+        set.extend(iter);
+        set
     }
 }
 
 impl Extend<Action> for ActionSet {
     fn extend<I: IntoIterator<Item = Action>>(&mut self, iter: I) {
-        self.actions.extend(iter);
+        for a in iter {
+            if let Err(i) = self.actions.binary_search(&a) {
+                self.actions.insert(i, a);
+            }
+        }
     }
 }
 

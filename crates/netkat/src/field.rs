@@ -178,6 +178,39 @@ impl fmt::Display for Field {
     }
 }
 
+/// Locates `field` in a *field record*: `(field, value)` pairs kept sorted
+/// by field and duplicate-free, the flat form [`Packet`](crate::Packet),
+/// [`Match`](crate::Match) and [`Action`](crate::Action) store. A record
+/// holds at most a dozen fields, so a forward scan with a sorted early exit
+/// beats binary search's unpredictable branches — and the simulator's
+/// hottest reads ([`Field::Switch`], [`Field::Port`]) sort first, so they
+/// resolve on the first compare.
+pub(crate) fn record_position(record: &[(Field, Value)], field: Field) -> Result<usize, usize> {
+    for (i, &(f, _)) in record.iter().enumerate() {
+        if f == field {
+            return Ok(i);
+        }
+        if f > field {
+            return Err(i);
+        }
+    }
+    Err(record.len())
+}
+
+/// The value of `field` in a field record (see [`record_position`]).
+pub(crate) fn record_get(record: &[(Field, Value)], field: Field) -> Option<Value> {
+    record_position(record, field).ok().map(|i| record[i].1)
+}
+
+/// Sets `field` to `value` in a field record (see [`record_position`]),
+/// overwriting any previous value.
+pub(crate) fn record_set(record: &mut Vec<(Field, Value)>, field: Field, value: Value) {
+    match record_position(record, field) {
+        Ok(i) => record[i].1 = value,
+        Err(i) => record.insert(i, (field, value)),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

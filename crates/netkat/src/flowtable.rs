@@ -5,17 +5,25 @@
 //! The first matching rule wins, exactly like an OpenFlow table with
 //! priorities.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::action::ActionSet;
 use crate::fdd::{FddBuilder, NodeId};
-use crate::field::{Field, Value};
+use crate::field::{record_get, record_position, record_set, Field, Value};
 use crate::packet::{FieldReader, Packet};
 
 /// An exact-match pattern: a conjunction of `field = value` constraints.
 ///
 /// Fields not mentioned are wildcards.
+///
+/// The constraints are stored as a flat field record — `(field, value)`
+/// pairs sorted by field, one per field — like [`Packet`]'s: a rule tests
+/// a few fields, and deployment clones every rule into each of up to 64
+/// tagged configurations, so one small allocation beats a
+/// node-per-field tree, and a lookup walks a slice. The derived
+/// `Ord`/`Hash` see the same sorted pair sequence a `BTreeMap` would
+/// iterate.
 ///
 /// # Examples
 ///
@@ -27,7 +35,7 @@ use crate::packet::{FieldReader, Packet};
 /// ```
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Match {
-    tests: BTreeMap<Field, Value>,
+    tests: Vec<(Field, Value)>,
 }
 
 impl Match {
@@ -38,17 +46,17 @@ impl Match {
 
     /// Builder-style constraint addition.
     pub fn with(mut self, field: Field, value: Value) -> Match {
-        self.tests.insert(field, value);
+        record_set(&mut self.tests, field, value);
         self
     }
 
     /// Adds a constraint in place. Returns `false` (leaving the match
     /// unchanged) if it contradicts an existing constraint.
     pub fn add(&mut self, field: Field, value: Value) -> bool {
-        match self.tests.get(&field) {
-            Some(&v) if v != value => false,
-            _ => {
-                self.tests.insert(field, value);
+        match record_position(&self.tests, field) {
+            Ok(i) => self.tests[i].1 == value,
+            Err(i) => {
+                self.tests.insert(i, (field, value));
                 true
             }
         }
@@ -56,7 +64,7 @@ impl Match {
 
     /// Returns the constraint on `field`, if any.
     pub fn get(&self, field: Field) -> Option<Value> {
-        self.tests.get(&field).copied()
+        record_get(&self.tests, field)
     }
 
     /// Returns `true` if the packet satisfies every constraint.
@@ -67,7 +75,7 @@ impl Match {
     /// [`matches`](Match::matches) against any field source — e.g. the
     /// simulator's zero-copy [`LocatedView`](crate::LocatedView).
     pub fn matches_on<R: FieldReader>(&self, pk: &R) -> bool {
-        self.tests.iter().all(|(&f, &v)| pk.read(f) == Some(v))
+        self.tests.iter().all(|&(f, v)| pk.read(f) == Some(v))
     }
 
     /// Number of constrained fields.
@@ -82,13 +90,14 @@ impl Match {
 
     /// Iterates over the constraints in field order.
     pub fn iter(&self) -> impl Iterator<Item = (Field, Value)> + '_ {
-        self.tests.iter().map(|(&f, &v)| (f, v))
+        self.tests.iter().copied()
     }
 }
 
+/// Later pairs override earlier ones on the same field.
 impl FromIterator<(Field, Value)> for Match {
     fn from_iter<I: IntoIterator<Item = (Field, Value)>>(iter: I) -> Match {
-        Match { tests: iter.into_iter().collect() }
+        iter.into_iter().fold(Match::new(), |m, (f, v)| m.with(f, v))
     }
 }
 

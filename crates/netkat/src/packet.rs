@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::field::{Field, Value};
+use crate::field::{record_get, record_position, record_set, Field, Value};
 
 /// A switch-port pair `n:m` (a *location* in the paper's Section 2).
 ///
@@ -123,39 +123,19 @@ impl Packet {
         Packet::new().with(Field::Switch, loc.sw).with(Field::Port, loc.pt)
     }
 
-    /// Locates `field` in the sorted record. A packet holds at most a
-    /// dozen fields, so a forward scan with a sorted early exit beats
-    /// binary search's unpredictable branches — and the simulator's
-    /// hottest reads ([`Field::Switch`], [`Field::Port`]) sort first, so
-    /// they resolve on the first compare.
-    fn position(&self, field: Field) -> Result<usize, usize> {
-        for (i, &(f, _)) in self.fields.iter().enumerate() {
-            if f == field {
-                return Ok(i);
-            }
-            if f > field {
-                return Err(i);
-            }
-        }
-        Err(self.fields.len())
-    }
-
     /// Returns the value of `field`, or `None` if unset.
     pub fn get(&self, field: Field) -> Option<Value> {
-        self.position(field).ok().map(|i| self.fields[i].1)
+        record_get(&self.fields, field)
     }
 
     /// Sets `field` to `value` in place (the paper's `pkt[f ← n]`).
     pub fn set(&mut self, field: Field, value: Value) {
-        match self.position(field) {
-            Ok(i) => self.fields[i].1 = value,
-            Err(i) => self.fields.insert(i, (field, value)),
-        }
+        record_set(&mut self.fields, field, value);
     }
 
     /// Removes `field` from the packet, returning its previous value.
     pub fn unset(&mut self, field: Field) -> Option<Value> {
-        self.position(field).ok().map(|i| self.fields.remove(i).1)
+        record_position(&self.fields, field).ok().map(|i| self.fields.remove(i).1)
     }
 
     /// Builder-style [`set`](Packet::set).

@@ -69,9 +69,13 @@ impl CompiledNes {
             let config = self.nes().config(set);
             if let Some(table) = config.table(switch) {
                 for rule in table.iter() {
-                    let mut pattern = rule.pattern.clone();
-                    let ok = pattern.add(Field::Tag, tag);
-                    debug_assert!(ok, "configuration rules never match the tag field");
+                    debug_assert!(
+                        rule.pattern.get(Field::Tag).is_none(),
+                        "configuration rules never match the tag field"
+                    );
+                    // Collected, not cloned then extended: growing the
+                    // exact-size clone would reallocate every pattern.
+                    let pattern: Match = rule.pattern.iter().chain([(Field::Tag, tag)]).collect();
                     rules.push(Rule::new(pattern, rule.actions.clone()));
                 }
             }
