@@ -1,5 +1,5 @@
 //! Microbench: linear first-match scan vs the compiled lookup index, on
-//! tables shaped like the ones the NES compiler installs (tag-guarded
+//! tables shaped like the paper's per-tag NES deployment (tag-guarded
 //! `tag, ip_dst → port` runs with a trailing wildcard drop), at 16, 128,
 //! and 1024 rules.
 //!

@@ -213,6 +213,22 @@ mod tests {
         assert!(!rows[1].ok, "reverse probe races the stale config");
     }
 
+    /// The fat-tree(8) campaign of 63 updates stores each distinct
+    /// `(switch, rule)` once: 10,240 versioned entries stand for the
+    /// 494,080 rules its 64 configurations hold, which the deployment's
+    /// rule count still reports.
+    #[test]
+    fn campaign_rules_are_stored_once() {
+        let c = edn_scenario::CompiledScenario::compile(&campaign_spec(8, 63, 2016))
+            .expect("the campaign compiles");
+        assert_eq!(c.nes.event_sets().len(), 64);
+        let stored: usize = c.nes.tables().map(|(_, t)| t.len()).sum();
+        assert_eq!(stored, 10_240);
+        assert_eq!(c.nes.total_rules(), 494_080);
+        let compiled = nes_runtime::CompiledNes::compile(c.nes.clone());
+        assert_eq!(compiled.rule_breakdown().forwarding, 494_080);
+    }
+
     #[test]
     fn names() {
         assert_eq!(host_name(101), "H1");

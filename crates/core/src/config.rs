@@ -100,6 +100,16 @@ impl Config {
         self.tables.keys().copied()
     }
 
+    /// The configuration's links and hosts, without its tables.
+    pub(crate) fn network(&self) -> Config {
+        Config { tables: BTreeMap::new(), links: self.links.clone(), hosts: self.hosts.clone() }
+    }
+
+    /// Whether `other` has the same links and hosts.
+    pub(crate) fn same_network(&self, other: &Config) -> bool {
+        self.links == other.links && self.hosts == other.hosts
+    }
+
     /// Total rule count across all switches.
     pub fn rule_count(&self) -> usize {
         self.tables.values().map(FlowTable::len).sum()

@@ -203,10 +203,10 @@ pub fn sequence_to_update(nes: &NetworkEventStructure, seq: &[EventId]) -> Updat
     let mut configs = Vec::with_capacity(seq.len() + 1);
     let mut events = Vec::with_capacity(seq.len());
     let mut set = crate::event::EventSet::empty();
-    configs.push(nes.config(set).clone());
+    configs.push(nes.config(set));
     for &e in seq {
         set = set.insert(e);
-        configs.push(nes.config(set).clone());
+        configs.push(nes.config(set));
         events.push(nes.structure().event(e).clone());
     }
     UpdateSequence::new(configs, events)
@@ -340,6 +340,6 @@ mod tests {
         let u = sequence_to_update(&nes, &[EventId::new(0)]);
         assert_eq!(u.configs.len(), 2);
         assert_eq!(u.events.len(), 1);
-        assert_eq!(&u.configs[0], nes.initial_config());
+        assert_eq!(u.configs[0], nes.initial_config());
     }
 }

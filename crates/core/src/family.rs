@@ -4,38 +4,34 @@
 //! online checker needs that automaton under *every* reachable
 //! configuration on every hop, and the configurations of one NES are
 //! near-copies of each other: a campaign's 64 configurations share every
-//! link, every host and almost every rule. A [`ConfigFamily`] compiles
-//! them once into shared structures and steps all of them per hop with
-//! `u64` masks (bit `i` = configuration `i`):
+//! link, every host and almost every rule. A [`ConfigFamily`] steps all of
+//! them per hop with `u64` masks (bit `i` = configuration `i`), over the
+//! structures the NES already stores them in:
 //!
 //! * **Link classes.** Configurations with the same links and hosts form
 //!   one class, which holds a hashed link set, the set of locations with
 //!   an outgoing link, and the host set. A link hop costs one packet
-//!   comparison plus one probe per class.
-//! * **Masked union tables.** Per switch, the tables of all configurations
-//!   are merged into one rule list whose entries carry the mask of the
-//!   configurations holding that rule. The merge preserves each table's
-//!   order exactly — every configuration's table is the subsequence of
-//!   entries carrying its bit — so its first match is the first matching
-//!   entry carrying its bit. A rule that two tables order differently
-//!   simply gets a second entry. The list is compiled into a
-//!   [`CompiledTable`] and walked with
-//!   [`lookup_index_from`](CompiledTable::lookup_index_from): each matched
-//!   entry resolves every still-unresolved configuration in its mask at
-//!   once, and the walk stops as soon as none is left.
+//!   comparison plus one probe per class. These are the only structures
+//!   a family builds.
+//! * **Versioned tables.** Per switch, the NES's
+//!   [`VersionedTable`](crate::VersionedTable), shared by reference count:
+//!   one rule list whose entries carry the mask of the configurations
+//!   holding them, every configuration's table the subsequence of entries
+//!   carrying its bit. The list is walked with
+//!   [`lookup_index_from`](netkat::CompiledTable::lookup_index_from): each
+//!   matched entry resolves every still-unresolved configuration in its
+//!   mask at once, and the walk stops as soon as none is left.
 //!
 //! The per-configuration `Config::start_state`, `Config::step_state` and
 //! `Config::accepts_end` stay the specification; the property tests
 //! below check this module against them bit for bit.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::HashSet;
+use std::sync::Arc;
 
-use netkat::{
-    Action, ActionSet, CompiledTable, Field, FlowTable, FxBuildHasher, Loc, LocatedView, Packet,
-    Rule, Value,
-};
+use netkat::{Action, ActionSet, Field, FxBuildHasher, Loc, LocatedView, Packet, Value};
 
-use crate::config::Config;
+use crate::nes::Versions;
 use crate::trace::LocatedPacket;
 
 /// The NFA state of one packet path under every configuration of a family:
@@ -76,63 +72,33 @@ struct LinkClass {
     hosts: HashSet<u64, FxBuildHasher>,
 }
 
-/// One switch's masked union table.
-struct UnionTable {
-    /// The configurations that install a table at this switch.
-    present: u64,
-    table: CompiledTable,
-    /// Per entry of `table`: the configurations whose table holds it.
-    owners: Vec<u64>,
-}
-
 /// A family of up to 64 configurations compiled for bit-parallel stepping;
 /// see the module docs.
 pub(crate) struct ConfigFamily {
     classes: Vec<LinkClass>,
-    tables: HashMap<u64, UnionTable, FxBuildHasher>,
+    versions: Arc<Versions>,
 }
 
 impl ConfigFamily {
-    /// Compiles `configs`; configuration `configs[i]` is bit `i`.
+    /// Builds the link classes of the stored configurations; configuration
+    /// `i` is bit `i`.
     ///
     /// # Panics
     ///
     /// Panics if there are more than 64 configurations.
-    pub fn new(configs: &[&Config]) -> ConfigFamily {
-        assert!(configs.len() <= 64, "a family holds at most 64 configurations");
-        // Link classes, keyed by a representative member.
-        let mut reps: Vec<(usize, u64)> = Vec::new();
-        for (i, c) in configs.iter().enumerate() {
-            let same = reps.iter_mut().find(|(r, _)| {
-                configs[*r].links().eq(c.links()) && configs[*r].hosts().eq(c.hosts())
-            });
-            match same {
-                Some((_, mask)) => *mask |= 1 << i,
-                None => reps.push((i, 1 << i)),
-            }
-        }
-        let classes = reps
-            .into_iter()
-            .map(|(r, mask)| {
-                let rep = configs[r];
-                LinkClass {
-                    mask,
-                    links: rep.links().collect(),
-                    sources: rep.links().map(|(src, _)| src).collect(),
-                    hosts: rep.hosts().collect(),
-                }
+    pub fn new(versions: Arc<Versions>) -> ConfigFamily {
+        assert!(versions.configs <= 64, "a family holds at most 64 configurations");
+        let classes = versions
+            .networks
+            .iter()
+            .map(|(net, members)| LinkClass {
+                mask: members[0],
+                links: net.links().collect(),
+                sources: net.links().map(|(src, _)| src).collect(),
+                hosts: net.hosts().collect(),
             })
             .collect();
-        let switches: BTreeSet<u64> = configs.iter().flat_map(|c| c.switches()).collect();
-        let tables = switches
-            .into_iter()
-            .map(|sw| {
-                let installed =
-                    configs.iter().enumerate().filter_map(|(i, c)| c.table(sw).map(|t| (i, t)));
-                (sw, UnionTable::merge(installed))
-            })
-            .collect();
-        ConfigFamily { classes, tables }
+        ConfigFamily { classes, versions }
     }
 
     /// The configurations in which `node` is a host.
@@ -200,16 +166,16 @@ impl ConfigFamily {
         at: &LocatedPacket,
         pred: impl Fn(&ActionSet) -> bool,
     ) -> u64 {
-        let Some(union) = self.tables.get(&at.loc.sw) else { return 0 };
-        let mut unresolved = configs & union.present & !self.host_at(at.loc.sw);
+        let Some(union) = self.versions.tables.get(&at.loc.sw) else { return 0 };
+        let mut unresolved = configs & union.installed_mask() & !self.host_at(at.loc.sw);
         let view = LocatedView { base: &at.packet, loc: at.loc, tag: None };
         let mut out = 0;
         let mut from = 0;
         while unresolved != 0 {
-            let Some(i) = union.table.lookup_index_from(from, &view) else { break };
-            let hit = union.owners[i] & unresolved;
+            let Some(i) = union.compiled().lookup_index_from(from, &view) else { break };
+            let hit = union.owner_mask(i) & unresolved;
             if hit != 0 {
-                if pred(&union.table.rule(i).actions) {
+                if pred(&union.rule(i).actions) {
                     out |= hit;
                 }
                 unresolved &= !hit;
@@ -217,68 +183,6 @@ impl ConfigFamily {
             from = i + 1;
         }
         out
-    }
-}
-
-impl UnionTable {
-    /// Merges `(configuration, table)` pairs into one masked rule list.
-    ///
-    /// Each table is embedded into the list built so far relative to the
-    /// previous table: the common prefix and suffix reuse that table's
-    /// entries, and each rule in between takes the first equal entry inside
-    /// the gap they leave, or a new entry at the current position. Every
-    /// table therefore stays an exact subsequence of the list.
-    fn merge<'a>(installed: impl Iterator<Item = (usize, &'a FlowTable)>) -> UnionTable {
-        let mut entries: Vec<(&'a Rule, u64)> = Vec::new();
-        let mut prev: Option<(&'a FlowTable, Vec<usize>)> = None;
-        let mut present = 0u64;
-        for (i, t) in installed {
-            let bit = 1u64 << i;
-            present |= bit;
-            let n = t.len();
-            let mut pos = Vec::with_capacity(n);
-            match &prev {
-                None => {
-                    entries.extend(t.iter().map(|r| (r, 0)));
-                    pos.extend(0..n);
-                }
-                Some((pt, ppos)) => {
-                    let m = pt.len();
-                    let p = (0..n.min(m)).take_while(|&j| t.rule(j) == pt.rule(j)).count();
-                    let s = (0..n.min(m) - p)
-                        .take_while(|&j| t.rule(n - 1 - j) == pt.rule(m - 1 - j))
-                        .count();
-                    pos.extend_from_slice(&ppos[..p]);
-                    let mut cur = if p > 0 { ppos[p - 1] + 1 } else { 0 };
-                    let mut end = if s > 0 { ppos[m - s] } else { entries.len() };
-                    let mut inserted = 0;
-                    for j in p..n - s {
-                        let r = t.rule(j);
-                        match (cur..end).find(|&k| entries[k].0 == r) {
-                            Some(k) => {
-                                pos.push(k);
-                                cur = k + 1;
-                            }
-                            None => {
-                                entries.insert(cur, (r, 0));
-                                pos.push(cur);
-                                cur += 1;
-                                end += 1;
-                                inserted += 1;
-                            }
-                        }
-                    }
-                    pos.extend(ppos[m - s..].iter().map(|&k| k + inserted));
-                }
-            }
-            for &k in &pos {
-                entries[k].1 |= bit;
-            }
-            prev = Some((t, pos));
-        }
-        let owners = entries.iter().map(|&(_, mask)| mask).collect();
-        let table = CompiledTable::from_rules(entries.into_iter().map(|(r, _)| r.clone()));
-        UnionTable { present, table, owners }
     }
 }
 
@@ -329,10 +233,10 @@ fn rewritten_eq(base: &Packet, act: &Action, target: &Packet) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::config::{ST_AT_HOST, ST_EGRESS, ST_INGRESS};
-    use netkat::Match;
+    use crate::config::{Config, ST_AT_HOST, ST_EGRESS, ST_INGRESS};
+    use netkat::{FlowTable, Match, Rule};
     use proptest::prelude::*;
 
     /// A small universe so random hops hit real links, hosts and rules.
@@ -340,11 +244,11 @@ mod tests {
     const PORTS: u64 = 3;
     const FIELDS: [Field; 4] = [Field::Switch, Field::Port, Field::Vlan, Field::IpDst];
 
-    fn arb_loc() -> impl Strategy<Value = Loc> {
+    pub(crate) fn arb_loc() -> impl Strategy<Value = Loc> {
         (0..NODES, 0..PORTS).prop_map(|(sw, pt)| Loc::new(sw, pt))
     }
 
-    fn arb_packet() -> impl Strategy<Value = Packet> {
+    pub(crate) fn arb_packet() -> impl Strategy<Value = Packet> {
         proptest::collection::vec((2usize..FIELDS.len(), 0u64..3), 0..3)
             .prop_map(|fs| fs.into_iter().map(|(i, v)| (FIELDS[i], v)).collect())
     }
@@ -406,7 +310,7 @@ mod tests {
     /// Families of up to 64 configurations. Most are mutations of a few
     /// bases (the realistic shape: near-copies sharing links and hosts);
     /// the rest are drawn independently, so link and host sets differ.
-    fn arb_family() -> impl Strategy<Value = Vec<Config>> {
+    pub(crate) fn arb_family() -> impl Strategy<Value = Vec<Config>> {
         (
             arb_pool(),
             proptest::collection::vec(arb_recipe(), 1..4),
@@ -435,6 +339,11 @@ mod tests {
 
     fn lp(pk: &Packet, loc: Loc) -> LocatedPacket {
         LocatedPacket::new(pk.clone(), loc)
+    }
+
+    /// The family of `configs`, stored as an NES stores them.
+    fn family(configs: &[&Config]) -> ConfigFamily {
+        ConfigFamily::new(Arc::new(Versions::merge(configs.iter().map(|&c| c.clone()).collect())))
     }
 
     /// Asserts the family masks equal every configuration's own automaton
@@ -493,7 +402,7 @@ mod tests {
             ),
         ) {
             let refs: Vec<&Config> = configs.iter().collect();
-            let fam = ConfigFamily::new(&refs);
+            let fam = family(&refs);
             for (pk, at, kind, to, pick, seed) in hops {
                 let a = lp(&pk, at);
                 let start = fam.start(at);
@@ -523,7 +432,7 @@ mod tests {
             pick in 0usize..64,
         ) {
             let refs: Vec<&Config> = configs.iter().collect();
-            let fam = ConfigFamily::new(&refs);
+            let fam = family(&refs);
             let guide = &configs[pick % configs.len()];
             let mut trace = vec![lp(&pk, first)];
             for w in walk {
@@ -563,8 +472,8 @@ mod tests {
         let wide = Rule::new(Match::new(), ActionSet::single(Action::assign(Field::Port, 9)));
         let c0 = with(vec![r(1, 1), wide.clone()]);
         let c1 = with(vec![wide, r(1, 1)]);
-        let fam = ConfigFamily::new(&[&c0, &c1]);
-        assert_eq!(fam.tables[&1].table.len(), 3);
+        let fam = family(&[&c0, &c1]);
+        assert_eq!(fam.versions.tables[&1].len(), 3);
         let pk = Packet::new().with(Field::Vlan, 1);
         let a = lp(&pk, Loc::new(1, 0));
         let ingress = Masks { ingress: 0b11, ..Masks::default() };
@@ -593,7 +502,7 @@ mod tests {
             })
             .collect();
         let refs: Vec<&Config> = configs.iter().collect();
-        let fam = ConfigFamily::new(&refs);
-        assert_eq!(fam.tables[&1].table.len(), 32);
+        let fam = family(&refs);
+        assert_eq!(fam.versions.tables[&1].len(), 32);
     }
 }

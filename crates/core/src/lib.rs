@@ -49,6 +49,7 @@ mod observe;
 mod online;
 mod trace;
 mod update;
+mod versioned;
 
 pub use config::Config;
 pub use correctness::{
@@ -69,3 +70,4 @@ pub use update::{
     check_update, first_occurrences, LiteralOccurrences, OccurrenceSemantics, UpdateSequence,
     UpdateViolation,
 };
+pub use versioned::VersionedTable;

@@ -26,13 +26,13 @@
 //! set of event *firings* that happened-before it; and the set of *watched*
 //! leaves that happened-before it. The NFA state is three `u64`
 //! configuration masks — at a host, at a switch ingress, at a switch
-//! egress — and every hop steps all configurations at once. At attach time
-//! the reachable configurations are compiled into a configuration family:
-//! configurations with equal links and hosts share one hashed link set,
-//! and each switch's tables are merged, order-preserving, into one masked
-//! union table whose entries carry the mask of configurations holding the
-//! rule. A link hop is one packet comparison and one hashed probe per link
-//! class; a switch hop walks the union table's matches in priority order,
+//! egress — and every hop steps all configurations at once. The checker
+//! reads the NES's own stored configurations: each switch's versioned
+//! table, whose entries carry the mask of configurations holding the rule,
+//! is shared, not copied, and attach builds only the link classes —
+//! configurations with equal links and hosts share one hashed link set. A
+//! link hop is one packet comparison and one hashed probe per link class;
+//! a switch hop walks the versioned table's matches in priority order,
 //! and each matched rule resolves every still-unresolved configuration in
 //! its mask, its outputs computed once for all of them.
 //!
@@ -495,15 +495,15 @@ impl OnlineChecker {
         if domain.len() > 64 {
             return Err(OnlineViolation::CapacityExceeded);
         }
+        // Domain index `i` is configuration `i` of the NES's stored tables:
+        // both are the sorted order of the reachable event-sets.
         let mut domain_index = HashMap::new();
-        let mut configs = Vec::with_capacity(domain.len());
         let mut initial_idx = 0;
         for (i, &x) in domain.iter().enumerate() {
             if x.is_empty() {
                 initial_idx = i as u32;
             }
             domain_index.insert(x, i as u32);
-            configs.push(nes.config(x));
         }
         let events = nes.events().to_vec();
         let mut events_at: HashMap<Loc, Vec<usize>, FxBuildHasher> = HashMap::default();
@@ -514,7 +514,7 @@ impl OnlineChecker {
             events,
             events_at,
             family: nes.structure().family().collect(),
-            configs: ConfigFamily::new(&configs),
+            configs: ConfigFamily::new(nes.versions().clone()),
             domain_index,
             fired_set: EventSet::empty(),
             fired_events: Vec::new(),

@@ -4,10 +4,10 @@
 //! hand-built examples, but it dominates per-switch forwarding cost once
 //! generated topologies push tables past a hundred rules (the `fig18` scale
 //! sweep). The tables this workspace compiles have heavy *structure*,
-//! though: the global compiler, the routing synthesizer, and the NES tag
-//! guards all emit long priority runs of rules constraining the *same*
-//! field set (e.g. hundreds of `tag=t, ip_dst=h → port` rules back to
-//! back). A [`CompiledTable`] exploits that structure:
+//! though: the global compiler and the routing synthesizer emit long
+//! priority runs of rules constraining the *same* field set (e.g. hundreds
+//! of `ip_dst=h → port` rules back to back). A [`CompiledTable`] exploits
+//! that structure:
 //!
 //! * the rule list is split into maximal contiguous priority runs whose
 //!   rules constrain the same fields (the run's *signature*);
@@ -36,6 +36,7 @@
 //! assert_eq!(compiled.lookup_index(&pk), Some(17));
 //! ```
 
+#[cfg(test)]
 use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -191,6 +192,19 @@ thread_local! {
     static FP_TEST_MASK: Cell<u64> = const { Cell::new(u64::MAX) };
 }
 
+/// Fingerprint probe outcomes of hash-segment lookups, tallied by the
+/// caller: a [`CompiledTable`] is immutable once built, so one table can
+/// serve several readers (a data plane and a checker) across threads,
+/// each keeping its own count.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct LookupStats {
+    /// Hash-segment probes resolved by a confirmed fingerprint hit.
+    pub fp_hits: u64,
+    /// Hash-segment probes whose fingerprint candidate did not match (a
+    /// collision), so the run was decided by a scan.
+    pub fp_fallbacks: u64,
+}
+
 /// A flow table compiled for fast lookup.
 ///
 /// Built once from a rule list in priority order; owns the rules plus the
@@ -201,8 +215,8 @@ pub struct CompiledTable {
     rules: Vec<Rule>,
     segments: Vec<Segment>,
     /// The union of every hash segment's signature, deduplicated in field
-    /// order. When two or more hash segments exist (the NES tables'
-    /// shape: one run per tag block, all constraining `tag, ip_dst`), a
+    /// order. When two or more hash segments exist (e.g. routing runs
+    /// split by a differently-shaped rule), a
     /// lookup reads each of these fields **once** into a stack cache and
     /// fingerprints every segment from it, instead of re-reading the
     /// packet per segment.
@@ -210,12 +224,6 @@ pub struct CompiledTable {
     /// Use the prefetch cache? (≥ 2 hash segments and the union fits
     /// [`PREFETCH_CAP`]; otherwise per-segment reads are cheaper.)
     prefetched: bool,
-    /// Hash-segment lookups resolved by a confirmed fingerprint hit.
-    /// `Cell` because lookups take `&self`; one add per lookup is
-    /// negligible next to the fingerprint mix itself.
-    fp_hits: Cell<u64>,
-    /// Hash-segment lookups that fell back to the collision scan.
-    fp_fallbacks: Cell<u64>,
 }
 
 /// Splits `rules` into signature runs: long same-signature runs become
@@ -306,14 +314,7 @@ impl CompiledTable {
                 }
             }
         }
-        CompiledTable {
-            rules,
-            segments,
-            prefetch,
-            prefetched,
-            fp_hits: Cell::new(0),
-            fp_fallbacks: Cell::new(0),
-        }
+        CompiledTable { rules, segments, prefetch, prefetched }
     }
 
     /// The index of the first matching rule for `pk`, exactly as
@@ -327,6 +328,16 @@ impl CompiledTable {
     /// [`LocatedView`](crate::LocatedView). With the prefetch active,
     /// every field any hash segment needs is read exactly once.
     pub fn lookup_index_on<R: FieldReader>(&self, pk: &R) -> Option<usize> {
+        self.lookup_index_tallied(pk, &mut LookupStats::default())
+    }
+
+    /// [`lookup_index_on`](CompiledTable::lookup_index_on), adding the
+    /// hash-segment probe outcomes to `stats`.
+    pub fn lookup_index_tallied<R: FieldReader>(
+        &self,
+        pk: &R,
+        stats: &mut LookupStats,
+    ) -> Option<usize> {
         // The cache (and its initialization cost) exists only on the
         // prefetched path; single-segment tables go straight to
         // per-segment reads.
@@ -335,9 +346,9 @@ impl CompiledTable {
             for (slot, &f) in self.prefetch.iter().enumerate() {
                 cache[slot] = pk.read(f);
             }
-            self.walk_segments(pk, |seg| seg.fingerprint_cached(&cache))
+            self.walk_segments(pk, stats, |seg| seg.fingerprint_cached(&cache))
         } else {
-            self.walk_segments(pk, |seg| seg.fingerprint_of(pk))
+            self.walk_segments(pk, stats, |seg| seg.fingerprint_of(pk))
         }
     }
 
@@ -346,6 +357,7 @@ impl CompiledTable {
     fn walk_segments<R: FieldReader>(
         &self,
         pk: &R,
+        stats: &mut LookupStats,
         fingerprint: impl Fn(&HashSegment) -> Option<u64>,
     ) -> Option<usize> {
         for segment in &self.segments {
@@ -359,11 +371,11 @@ impl CompiledTable {
                     let Some(fp) = fingerprint(seg) else { continue };
                     let Some(&candidate) = seg.map.get(&fp) else { continue };
                     if self.rules[candidate as usize].pattern.matches_on(pk) {
-                        self.fp_hits.set(self.fp_hits.get() + 1);
+                        stats.fp_hits += 1;
                         return Some(candidate as usize);
                     }
                     // Fingerprint collision: the run still decides by scan.
-                    self.fp_fallbacks.set(self.fp_fallbacks.get() + 1);
+                    stats.fp_fallbacks += 1;
                     if let Some(i) = self.scan(seg.start, seg.end, pk) {
                         return Some(i);
                     }
@@ -385,6 +397,21 @@ impl CompiledTable {
     /// the packet's fingerprint at or after `start`, so a run is never
     /// rescanned; collisions are told apart by matching each candidate.
     pub fn lookup_index_from<R: FieldReader>(&self, start: usize, pk: &R) -> Option<usize> {
+        self.lookup_index_from_tallied(start, pk, &mut LookupStats::default())
+    }
+
+    /// [`lookup_index_from`](CompiledTable::lookup_index_from), adding the
+    /// hash-segment probe outcomes to `stats` as
+    /// [`lookup_index_tallied`](CompiledTable::lookup_index_tallied) does:
+    /// a segment whose first candidate at or after `start` matches is a
+    /// hit, one whose first such candidate does not (a collision) is a
+    /// fallback. From `start = 0` both walks tally alike.
+    pub fn lookup_index_from_tallied<R: FieldReader>(
+        &self,
+        start: usize,
+        pk: &R,
+        stats: &mut LookupStats,
+    ) -> Option<usize> {
         let start = u32::try_from(start).ok()?;
         let seg_end = |s: &Segment| match s {
             Segment::Scan { end, .. } => *end,
@@ -401,11 +428,23 @@ impl CompiledTable {
                 Segment::Hash(seg) => {
                     let Some(fp) = seg.fingerprint_of(pk) else { continue };
                     let mut candidate = seg.map.get(&fp).copied();
+                    let mut probes = 0;
                     while let Some(i) = candidate {
-                        if i >= start && self.rules[i as usize].pattern.matches_on(pk) {
-                            return Some(i as usize);
+                        if i >= start {
+                            probes += 1;
+                            if self.rules[i as usize].pattern.matches_on(pk) {
+                                if probes == 1 {
+                                    stats.fp_hits += 1;
+                                } else {
+                                    stats.fp_fallbacks += 1;
+                                }
+                                return Some(i as usize);
+                            }
                         }
                         candidate = seg.chain_next(i);
+                    }
+                    if probes > 0 {
+                        stats.fp_fallbacks += 1;
                     }
                 }
             }
@@ -476,13 +515,6 @@ impl CompiledTable {
     /// Number of segments (hash + scan) the table splits into.
     pub fn segment_count(&self) -> usize {
         self.segments.len()
-    }
-
-    /// Fingerprint-resolved vs collision-fallback hash-segment lookups,
-    /// accumulated since compilation: `(confirmed hits, fallback scans)`.
-    /// Harvested by the telemetry layer at the end of a run.
-    pub fn lookup_stats(&self) -> (u64, u64) {
-        (self.fp_hits.get(), self.fp_fallbacks.get())
     }
 
     /// Number of rules reachable through hash segments (the rest are
@@ -645,6 +677,38 @@ mod tests {
         // segments) and still agree.
         let single = FlowTable::from_rules((0..8).map(|h| exact(Field::IpDst, h, h)));
         assert_equivalent(&single, &Packet::new().with(Field::IpDst, 2));
+    }
+
+    /// Hits and collisions are tallied on both walks: with real
+    /// fingerprints every probe of an exact-match run hits; with
+    /// fingerprints narrowed to two bits, eight rules share four buckets,
+    /// so at least four probes meet a collision first and fall back.
+    #[test]
+    fn tallies_count_hits_and_collision_fallbacks() {
+        let table = FlowTable::from_rules((0..8).map(|h| exact(Field::IpDst, h, h)));
+        for (mask, clean) in [(u64::MAX, true), (0b11, false)] {
+            FP_TEST_MASK.with(|m| m.set(mask));
+            let compiled = table.compile();
+            let (mut on, mut from) = (LookupStats::default(), LookupStats::default());
+            for h in 0..8 {
+                let pk = Packet::new().with(Field::IpDst, h);
+                assert_eq!(compiled.lookup_index_tallied(&pk, &mut on), Some(h as usize));
+                assert_eq!(compiled.lookup_index_from_tallied(0, &pk, &mut from), Some(h as usize));
+            }
+            assert_eq!(on, from);
+            assert_eq!(on.fp_hits + on.fp_fallbacks, 8, "one outcome per probe");
+            if clean {
+                assert_eq!(on.fp_fallbacks, 0);
+            } else {
+                assert!(on.fp_fallbacks >= 4, "{on:?}");
+            }
+        }
+        FP_TEST_MASK.with(|m| m.set(u64::MAX));
+        // A resumed walk past every candidate probes nothing.
+        let mut stats = LookupStats::default();
+        let pk = Packet::new().with(Field::IpDst, 3);
+        assert_eq!(table.compile().lookup_index_from_tallied(4, &pk, &mut stats), None);
+        assert_eq!(stats, LookupStats::default());
     }
 
     #[test]
@@ -865,6 +929,11 @@ mod proptests {
                         prop_assert_eq!(got, want, "from {} on {} (mask {:#x})", start, pk, mask);
                     }
                     prop_assert_eq!(compiled.lookup_index(pk), table.lookup_index(pk));
+                    // Both walks tally a probe alike from the table's top.
+                    let (mut on, mut from) = (LookupStats::default(), LookupStats::default());
+                    let hit = compiled.lookup_index_tallied(pk, &mut on);
+                    prop_assert_eq!(compiled.lookup_index_from_tallied(0, pk, &mut from), hit);
+                    prop_assert_eq!(on, from, "tallies on {} (mask {:#x})", pk, mask);
                 }
             }
             FP_TEST_MASK.with(|m| m.set(u64::MAX));

@@ -50,7 +50,7 @@ pub use arena::{ArenaStats, PacketArena, PacketId};
 pub use error::NetkatError;
 pub use fdd::{FddBuilder, FddPath, NodeId};
 pub use field::{Field, Value};
-pub use flowindex::{CompiledTable, LookupPath};
+pub use flowindex::{CompiledTable, LookupPath, LookupStats};
 pub use flowtable::{FlowTable, Match, Rule};
 pub use global::{compile_global, path_clauses, Hop, PathClause, SwitchTables, TestConj};
 pub use hash::{FxBuildHasher, FxHasher};

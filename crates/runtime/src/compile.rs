@@ -1,7 +1,8 @@
 //! Compiling an NES for deployment (Section 4.1).
 //!
 //! Every event-set of the NES gets an integer *tag*; every configuration is
-//! installed proactively, with each rule guarded by its tag; switches stamp
+//! installed proactively — the NES's versioned tables hold each rule once,
+//! guarded by the set of tags whose configuration holds it; switches stamp
 //! incoming packets with the tag of their current event-set and learn events
 //! from packet digests.
 
@@ -45,7 +46,9 @@ pub struct CompiledNes {
 /// Installed-rule counts, split by role (Section 4.1's building blocks).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct RuleBreakdown {
-    /// Tag-guarded forwarding rules (one copy of each configuration rule).
+    /// Tag-guarded forwarding rules: one per rule of each configuration,
+    /// as the paper's per-tag deployment installs them (the sum of the
+    /// versioned entries' owner-set sizes, not the entries stored).
     pub forwarding: usize,
     /// Ingress stamping rules (one per switch per tag).
     pub stamping: usize,
@@ -75,10 +78,12 @@ impl fmt::Display for RuleBreakdown {
 }
 
 impl CompiledNes {
-    /// Compiles an NES: enumerates its event-sets and assigns tags.
+    /// Compiles an NES: assigns tag `i` to its `i`-th reachable event-set
+    /// in sorted order — the index of that event-set's configuration in
+    /// the NES's versioned tables, so a tag selects its configuration's
+    /// entries directly.
     pub fn compile(nes: NetworkEventStructure) -> CompiledNes {
-        let mut tags: Vec<EventSet> = nes.event_sets();
-        tags.sort();
+        let tags: Vec<EventSet> = nes.event_sets();
         let tag_of = tags.iter().enumerate().map(|(i, &s)| (s, i as u64)).collect();
         CompiledNes { nes, tags, tag_of }
     }
@@ -141,16 +146,14 @@ impl CompiledNes {
     }
 
     /// The rule footprint of the deployment (Section 4.1, used by the
-    /// Section 5.1 per-application table).
+    /// Section 5.1 per-application table), counted from the versioned
+    /// tables: each stored entry once per configuration that owns it.
     pub fn rule_breakdown(&self) -> RuleBreakdown {
-        let mut b = RuleBreakdown::default();
-        let mut switches: BTreeSet<u64> = BTreeSet::new();
-        for &set in &self.tags {
-            let config = self.nes.config(set);
-            b.forwarding += config.rule_count();
-            switches.extend(config.switches());
-        }
-        b.stamping = switches.len() * self.tags.len();
+        let mut b = RuleBreakdown {
+            forwarding: self.nes.total_rules(),
+            stamping: self.nes.tables().count() * self.tags.len(),
+            detection: 0,
+        };
         for &set in &self.tags {
             for event in self.nes.events() {
                 if !set.contains(event.id)
@@ -166,23 +169,18 @@ impl CompiledNes {
 
     /// The per-tag rule sets in a shape the rule-sharing optimizer consumes:
     /// `rules[tag]` is the set of `(switch, match, actions)` triples of that
-    /// tag's configuration.
+    /// tag's configuration, read off the versioned tables' owner sets.
     pub fn config_rule_sets(&self) -> Vec<BTreeSet<(u64, Match, ActionSet)>> {
-        self.tags
-            .iter()
-            .map(|&set| {
-                let config = self.nes.config(set);
-                let mut rules = BTreeSet::new();
-                for sw in config.switches() {
-                    if let Some(table) = config.table(sw) {
-                        for rule in table.iter() {
-                            rules.insert((sw, rule.pattern.clone(), rule.actions.clone()));
-                        }
-                    }
+        let mut sets = vec![BTreeSet::new(); self.tags.len()];
+        for (sw, table) in self.nes.tables() {
+            for i in 0..table.len() {
+                let rule = table.rule(i);
+                for tag in table.owners(i) {
+                    sets[tag].insert((sw, rule.pattern.clone(), rule.actions.clone()));
                 }
-                rules
-            })
-            .collect()
+            }
+        }
+        sets
     }
 
     /// One firing step: which of `candidates` actually occur given the
@@ -256,6 +254,22 @@ mod tests {
             ],
         )
         .unwrap()
+    }
+
+    /// Tag `i` is configuration `i` of the NES's versioned tables (and bit
+    /// `i` of the online checker's masks): all three are the sorted order
+    /// of the reachable event-sets.
+    #[test]
+    fn tag_i_is_configuration_i() {
+        let c = CompiledNes::compile(chain_nes());
+        let sets = c.nes().event_sets();
+        assert!(sets.windows(2).all(|w| w[0] < w[1]), "sorted");
+        assert_eq!(sets, c.nes().structure().event_sets());
+        for (i, &set) in sets.iter().enumerate() {
+            assert_eq!(c.set_of(i as u64), set);
+            assert_eq!(c.tag_of(set), Some(i as u64));
+            assert_eq!(c.nes().config_index(set), Some(i));
+        }
     }
 
     #[test]

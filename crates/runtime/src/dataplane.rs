@@ -14,20 +14,23 @@
 use std::collections::{BTreeMap, HashMap};
 
 use edn_core::{EventId, EventSet};
-use netkat::{Field, FxBuildHasher, Loc, LocatedView, Packet, PacketArena, PacketId};
+use netkat::{
+    Field, FxBuildHasher, Loc, LocatedView, LookupStats, Packet, PacketArena, PacketId, Rule,
+};
 use netsim::{table_outputs, CtrlMsg, DataPlane, SimTime, StepResult, StepResultId};
 
 use crate::compile::CompiledNes;
 use crate::deploy::DeployKnobs;
-use crate::program::SwitchProgram;
 
 /// The deployed NES runtime (switch state + controller).
+///
+/// The installed tables are the NES's own versioned tables (Section 4.1
+/// with each rule stored once, guarded by the set of tags that own it):
+/// deploying copies no rule, and a packet with tag `t` forwards by the
+/// first matching entry `t` owns.
 #[derive(Clone, Debug)]
 pub struct NesDataPlane {
     compiled: CompiledNes,
-    /// The installed tables: one tag-guarded program per switch
-    /// (Section 4.1), every configuration compiled from scratch.
-    programs: BTreeMap<u64, SwitchProgram>,
     /// Per-switch known events (`E` in Fig. 7), dense: `local[slot]` with
     /// slots assigned by `switch_slot`. The switch step reads and writes
     /// this two or three times per packet, so it must not walk a tree.
@@ -59,6 +62,9 @@ pub struct NesDataPlane {
     /// allocates nothing.
     lookup_buf: Packet,
     out_buf: Packet,
+    /// This plane's fingerprint probe outcomes (the tables are shared, so
+    /// the tally lives with the reader).
+    lookups: LookupStats,
 }
 
 impl NesDataPlane {
@@ -78,10 +84,8 @@ impl NesDataPlane {
         let switch_slot =
             switches.iter().enumerate().map(|(i, &s)| (s, i as u32)).collect::<HashMap<_, _, _>>();
         let local = vec![EventSet::empty(); switches.len()];
-        let programs = compiled.switch_programs().into_iter().map(|p| (p.switch, p)).collect();
         NesDataPlane {
             compiled,
-            programs,
             local,
             switch_slot,
             controller: EventSet::empty(),
@@ -92,7 +96,23 @@ impl NesDataPlane {
             effective_cache: BTreeMap::new(),
             lookup_buf: Packet::new(),
             out_buf: Packet::new(),
+            lookups: LookupStats::default(),
         }
+    }
+
+    /// The rule `tag`'s configuration forwards `pk` by at switch `sw`: the
+    /// first matching entry of the switch's versioned table that the tag
+    /// owns, tallying the probes.
+    fn forwarding_rule<'a, R: netkat::FieldReader>(
+        compiled: &'a CompiledNes,
+        lookups: &mut LookupStats,
+        sw: u64,
+        tag: u64,
+        pk: &R,
+    ) -> Option<&'a Rule> {
+        let table = compiled.nes().table(sw)?;
+        let config = usize::try_from(tag).ok()?;
+        table.lookup_index_tallied(config, pk, lookups).map(|i| table.rule(i))
     }
 
     /// The effective event-set and tag for a known-events set, memoized.
@@ -200,10 +220,9 @@ impl DataPlane for NesDataPlane {
         let known = self.local_events(sw);
 
         // SWITCH step 3: forward under the packet's stamped configuration,
-        // through the switch's installed tag-guarded table (the guard makes
-        // the per-tag block of the packet's own tag the only one that can
-        // match, so this agrees with the packet's configuration table —
-        // `program::tests` pin that equivalence).
+        // through the switch's versioned table: the first matching entry
+        // the packet's tag owns is its configuration table's first match
+        // (`program::tests` pin that equivalence).
         let tag = match packet.get(Field::Tag) {
             Some(tag) => tag,
             None => self.effective_of(known).1,
@@ -214,7 +233,9 @@ impl DataPlane for NesDataPlane {
         lookup.set_loc(Loc::new(sw, pt));
         lookup.set(Field::Tag, tag);
         let mut out = Vec::new();
-        if let Some(rule) = self.programs.get(&sw).and_then(|p| p.compiled.lookup_on(&lookup)) {
+        if let Some(rule) =
+            Self::forwarding_rule(&self.compiled, &mut self.lookups, sw, tag, &lookup)
+        {
             rule.actions.apply_into(&lookup, &mut out);
         }
         let mut outputs = table_outputs(pt, out);
@@ -304,7 +325,7 @@ impl DataPlane for NesDataPlane {
         {
             let base = arena.get(stamped);
             let view = LocatedView { base, loc, tag: Some(tag) };
-            let rule = self.programs.get(&sw).and_then(|p| p.compiled.lookup_on(&view));
+            let rule = Self::forwarding_rule(&self.compiled, &mut self.lookups, sw, tag, &view);
             if let Some(rule) = rule {
                 if rule.actions.len() == 1 {
                     let action = rule.actions.iter().next().expect("len 1");
@@ -420,16 +441,10 @@ impl DataPlane for NesDataPlane {
     }
 
     /// Reports the compiled lookup index's fingerprint probe outcomes,
-    /// summed over every switch's table this plane instance drove.
+    /// summed over every lookup this plane instance made.
     fn contribute_metrics(&self, reg: &mut edn_obs::Registry) {
-        let (mut hits, mut fallbacks) = (0u64, 0u64);
-        for program in self.programs.values() {
-            let (h, f) = program.compiled.lookup_stats();
-            hits += h;
-            fallbacks += f;
-        }
-        reg.counter_add(edn_obs::Scope::Shard, "flowindex.fp_hits", hits);
-        reg.counter_add(edn_obs::Scope::Shard, "flowindex.fp_fallbacks", fallbacks);
+        reg.counter_add(edn_obs::Scope::Shard, "flowindex.fp_hits", self.lookups.fp_hits);
+        reg.counter_add(edn_obs::Scope::Shard, "flowindex.fp_fallbacks", self.lookups.fp_fallbacks);
     }
 }
 

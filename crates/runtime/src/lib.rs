@@ -4,8 +4,9 @@
 //! Programming* (PLDI 2016), deployed on the `netsim` simulator:
 //!
 //! * [`CompiledNes`] assigns an integer tag to every event-set of a network
-//!   event structure and installs each configuration's rules proactively,
-//!   guarded by the tag;
+//!   event structure; every configuration is installed proactively through
+//!   the NES's versioned tables, each rule guarded by the set of tags that
+//!   own it;
 //! * [`NesDataPlane`] implements the operational semantics of Fig. 7 —
 //!   ingress stamping, digest learning, event triggering, per-tag
 //!   forwarding, and the optional controller broadcast;

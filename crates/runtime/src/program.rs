@@ -4,29 +4,31 @@
 //! The paper's implementation recipe is: (1) encode event-sets as flat
 //! tags, (2) compile every configuration, (3) guard each rule with its
 //! configuration's tag, (4) stamp incoming packets with the current tag,
-//! (5) learn events from digests. [`SwitchProgram`] materializes steps
-//! (2)–(4) as one prioritized table per switch (the stamping and learning
-//! steps additionally touch the switch register, which the table format
-//! notes but cannot express — that part is the `NesDataPlane` logic).
+//! (5) learn events from digests. [`SwitchProgram`] shows steps (2)–(4)
+//! for one switch: its forwarding table is the NES's own
+//! [`VersionedTable`], each rule stored once and guarded by the *set* of
+//! tags whose configuration holds it (the stamping and learning steps
+//! additionally touch the switch register, which the table format notes
+//! but cannot express — that part is the `NesDataPlane` logic).
 
+use std::collections::BTreeSet;
 use std::fmt;
 
-use netkat::{CompiledTable, Field, Loc, Match, Packet, Rule};
+use edn_core::VersionedTable;
+use netkat::{Field, Loc, Match, Packet};
 
 use crate::compile::CompiledNes;
 
 /// The rules installed on one switch, with their tag guards.
 #[derive(Clone, Debug)]
-pub struct SwitchProgram {
+pub struct SwitchProgram<'a> {
     /// The switch.
     pub switch: u64,
-    /// The tag-guarded forwarding table (all configurations interleaved,
-    /// grouped by tag, first match wins within the packet's tag), compiled
-    /// once at construction — the tag guard makes every per-tag block a
-    /// hashable same-signature run. This is the only stored copy of the
-    /// rules; the index's differential tests pin it to
-    /// [`FlowTable::apply`](netkat::FlowTable::apply).
-    pub compiled: CompiledTable,
+    /// The forwarding table: every configuration's rules, each stored once
+    /// with the tags that own it; a packet with tag `t` takes the first
+    /// matching entry `t` owns. `None` if no configuration installs a
+    /// table here. This is the NES's stored table, not a copy.
+    pub table: Option<&'a VersionedTable>,
     /// Stamping entries: `(tag, ingress ports)` — on ingress from a host,
     /// a packet is stamped with the switch's current tag.
     pub stamp_tags: Vec<u64>,
@@ -35,50 +37,39 @@ pub struct SwitchProgram {
     pub detections: Vec<(u64, usize, Match)>,
 }
 
-impl SwitchProgram {
-    /// Looks up the forwarding behaviour for a tagged packet through the
-    /// compiled index, which must agree with the packet's configuration
-    /// table.
-    pub fn apply(&self, packet: &Packet) -> std::collections::BTreeSet<Packet> {
-        self.compiled.apply(packet)
+impl SwitchProgram<'_> {
+    /// The forwarding behaviour for a tagged packet: the outputs of the
+    /// first matching entry its tag owns (none for an untagged packet).
+    pub fn apply(&self, packet: &Packet) -> BTreeSet<Packet> {
+        let rule = packet
+            .get(Field::Tag)
+            .and_then(|tag| self.table?.lookup_on(usize::try_from(tag).ok()?, packet));
+        rule.map(|r| r.actions.apply(packet)).unwrap_or_default()
     }
 }
 
-impl fmt::Display for SwitchProgram {
+impl fmt::Display for SwitchProgram<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "switch {} program:", self.switch)?;
         writeln!(f, "  stamping: one rule per tag {:?}", self.stamp_tags)?;
         for (tag, event, m) in &self.detections {
             writeln!(f, "  detect: in state {tag}, arrival matching {m} fires e{event}")?;
         }
-        for (i, r) in self.compiled.iter().enumerate() {
-            writeln!(f, "[{i:3}] {r}")?;
+        if let Some(table) = self.table {
+            write!(f, "{table}")?;
         }
         Ok(())
     }
 }
 
 impl CompiledNes {
-    /// Materializes the guarded per-switch program (Section 4.1 steps 2–4).
-    pub fn switch_program(&self, switch: u64) -> SwitchProgram {
-        let mut rules = Vec::new();
+    /// The per-switch program (Section 4.1 steps 2–4): the NES's versioned
+    /// table for the switch plus its stamping and detection entries.
+    pub fn switch_program(&self, switch: u64) -> SwitchProgram<'_> {
         let mut stamp_tags = Vec::new();
         let mut detections = Vec::new();
         for tag in 0..self.tag_count() as u64 {
             let set = self.set_of(tag);
-            let config = self.nes().config(set);
-            if let Some(table) = config.table(switch) {
-                for rule in table.iter() {
-                    debug_assert!(
-                        rule.pattern.get(Field::Tag).is_none(),
-                        "configuration rules never match the tag field"
-                    );
-                    // Collected, not cloned then extended: growing the
-                    // exact-size clone would reallocate every pattern.
-                    let pattern: Match = rule.pattern.iter().chain([(Field::Tag, tag)]).collect();
-                    rules.push(Rule::new(pattern, rule.actions.clone()));
-                }
-            }
             stamp_tags.push(tag);
             for event in self.nes().events() {
                 if event.loc.sw == switch
@@ -97,19 +88,12 @@ impl CompiledNes {
                 }
             }
         }
-        let compiled = CompiledTable::from_rules(rules);
-        SwitchProgram { switch, compiled, stamp_tags, detections }
+        SwitchProgram { switch, table: self.nes().table(switch), stamp_tags, detections }
     }
 
     /// Every switch's program.
-    pub fn switch_programs(&self) -> Vec<SwitchProgram> {
-        let mut switches: Vec<u64> = Vec::new();
-        for tag in 0..self.tag_count() as u64 {
-            switches.extend(self.nes().config(self.set_of(tag)).switches());
-        }
-        switches.sort_unstable();
-        switches.dedup();
-        switches.into_iter().map(|sw| self.switch_program(sw)).collect()
+    pub fn switch_programs(&self) -> Vec<SwitchProgram<'_>> {
+        self.nes().tables().map(|(sw, _)| self.switch_program(sw)).collect()
     }
 }
 
@@ -125,7 +109,7 @@ pub fn tagged_lookup(packet: &Packet, loc: Loc, tag: u64) -> Packet {
 mod tests {
     use super::*;
     use edn_core::{Config, Event, EventId, EventSet, EventStructure, NetworkEventStructure};
-    use netkat::{Action, ActionSet, FlowTable, LocatedView, Pred};
+    use netkat::{Action, ActionSet, FlowTable, LocatedView, Pred, Rule};
 
     fn firewall_nes() -> NetworkEventStructure {
         let mk = |rules: Vec<Rule>| {
@@ -159,7 +143,7 @@ mod tests {
     /// A three-switch NES with ten configurations: a nine-step campaign
     /// that re-routes a different destination at every step, prepends a
     /// source drop rule on odd steps, and leaves switch 3 without a table
-    /// on every third step.
+    /// on every third step — stored by merging the full configurations.
     fn campaign_line_nes() -> NetworkEventStructure {
         let config = |step: u64| {
             let mut c = Config::new();
@@ -188,17 +172,19 @@ mod tests {
             .map(|step| crate::CampaignStep {
                 trigger: Pred::test(Field::Vlan, 100 + step),
                 loc: Loc::new(1 + step % 3, 2),
-                config: config(step),
             })
             .collect();
-        crate::campaign_nes(config(0), steps).unwrap()
+        // The chain's event structure, from an empty campaign of nine steps.
+        let es = crate::campaign_nes(&Config::new(), [], steps).structure().clone();
+        let sets = es.event_sets();
+        NetworkEventStructure::new(es, sets.into_iter().zip((0..=9).map(config))).unwrap()
     }
 
-    /// Every switch's guarded program behaves, for every tag, exactly like
-    /// that tag's own configuration table (modulo the tag field the guard
-    /// leaves on the packet), on the materialized tagged packet and on the
-    /// data planes' zero-copy view alike. A switch without a table in some
-    /// configuration drops that configuration's packets.
+    /// Every switch's versioned table behaves, for every tag, exactly like
+    /// that tag's own materialised configuration table (modulo the tag
+    /// field the lookup leaves on the packet), on the tagged packet and on
+    /// the data planes' zero-copy view alike. A switch without a table in
+    /// some configuration drops that configuration's packets.
     #[test]
     fn guarded_lookup_agrees_with_per_tag_configs() {
         let inputs = [
@@ -210,10 +196,11 @@ mod tests {
             assert_eq!(compiled.tag_count(), tags);
             for &sw in &switches {
                 let program = compiled.switch_program(sw);
+                let versioned = program.table.expect("some configuration installs a table");
                 for tag in 0..compiled.tag_count() as u64 {
                     let config = compiled.nes().config(compiled.set_of(tag));
-                    let empty = FlowTable::new();
-                    let table = config.table(sw).unwrap_or(&empty);
+                    let table = config.table(sw).cloned().unwrap_or_default();
+                    assert_eq!(versioned.installed(tag as usize), config.table(sw).is_some());
                     for &pt in &ports {
                         for &dst in &dsts {
                             for src in [0u64, 1, 3, 5] {
@@ -229,19 +216,18 @@ mod tests {
                                     .collect();
                                 let want = table.apply(&untagged);
                                 assert_eq!(got, want, "sw {sw}, tag {tag}, pt {pt}, dst {dst}");
-                                let want_rule = table.lookup(&untagged).map(|r| &r.actions);
+                                let want_rule = table.lookup(&untagged);
                                 let view = LocatedView {
                                     base: &base,
                                     loc: Loc::new(sw, pt),
                                     tag: Some(tag),
                                 };
                                 for got_rule in [
-                                    program.compiled.lookup(&tagged),
-                                    program.compiled.lookup_on(&view),
+                                    versioned.lookup_on(tag as usize, &tagged),
+                                    versioned.lookup_on(tag as usize, &view),
                                 ] {
                                     assert_eq!(
-                                        got_rule.map(|r| &r.actions),
-                                        want_rule,
+                                        got_rule, want_rule,
                                         "lookup: sw {sw}, tag {tag}, pt {pt}, dst {dst}"
                                     );
                                 }
@@ -253,33 +239,68 @@ mod tests {
         }
     }
 
+    /// The versioned table's compiled index is its entry list, and a tag's
+    /// lookup is the first matching entry the tag owns, as a linear scan of
+    /// that list finds it; the program's listing ends with the table's.
     #[test]
     fn compiled_index_mirrors_reference_table() {
         let compiled = CompiledNes::compile(firewall_nes());
         let program = compiled.switch_program(1);
-        let table = FlowTable::from_rules(program.compiled.iter().cloned());
-        assert!(program.to_string().ends_with(&table.to_string()));
-        for tag in 0..compiled.tag_count() as u64 {
+        let versioned = program.table.expect("switch 1 has a table");
+        let table = FlowTable::from_rules(versioned.compiled().iter().cloned());
+        assert!(program.to_string().ends_with(&versioned.to_string()));
+        assert!(program.to_string().contains("] {0..=1} "), "{program}");
+        for tag in 0..compiled.tag_count() {
             for pt in [2u64, 3, 9] {
                 for dst in [200u64, 300, 7] {
-                    let pk =
-                        tagged_lookup(&Packet::new().with(Field::IpDst, dst), Loc::new(1, pt), tag);
+                    let pk = tagged_lookup(
+                        &Packet::new().with(Field::IpDst, dst),
+                        Loc::new(1, pt),
+                        tag as u64,
+                    );
                     assert_eq!(
-                        program.compiled.lookup_index(&pk),
+                        versioned.compiled().lookup_index(&pk),
                         table.lookup_index(&pk),
                         "index diverged on {pk}"
                     );
-                    assert_eq!(program.apply(&pk), table.apply(&pk));
+                    let want = (0..table.len())
+                        .find(|&i| versioned.owns(i, tag) && table.rule(i).pattern.matches(&pk));
+                    assert_eq!(
+                        versioned.lookup_on(tag, &pk),
+                        want.map(|i| table.rule(i)),
+                        "tag {tag} on {pk}"
+                    );
                 }
             }
         }
     }
 
+    /// The breakdown's forwarding count is the paper's per-tag count — the
+    /// sum of the entries' owner-set sizes, which is the materialised
+    /// configurations' rule count — while each shared rule is stored once.
     #[test]
     fn guarded_rule_count_equals_breakdown_forwarding() {
+        for nes in [firewall_nes(), campaign_line_nes()] {
+            let compiled = CompiledNes::compile(nes);
+            let owned: usize = compiled
+                .switch_programs()
+                .iter()
+                .filter_map(|p| p.table)
+                .map(|t| (0..t.len()).map(|i| t.owner_count(i)).sum::<usize>())
+                .sum();
+            let materialised: usize = (0..compiled.tag_count() as u64)
+                .map(|tag| compiled.nes().config(compiled.set_of(tag)).rule_count())
+                .sum();
+            assert_eq!(owned, compiled.rule_breakdown().forwarding);
+            assert_eq!(owned, materialised);
+            assert_eq!(owned, compiled.nes().total_rules());
+            let stored: usize = compiled.nes().tables().map(|(_, t)| t.len()).sum();
+            assert!(stored < owned, "shared rules are stored once: {stored} vs {owned}");
+        }
+        // The firewall's two configurations share `2 → 3`.
         let compiled = CompiledNes::compile(firewall_nes());
-        let total: usize = compiled.switch_programs().iter().map(|p| p.compiled.len()).sum();
-        assert_eq!(total, compiled.rule_breakdown().forwarding);
+        assert_eq!(compiled.switch_program(1).table.map(|t| t.len()), Some(2));
+        assert_eq!(compiled.rule_breakdown().forwarding, 3);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 
 use edn_core::Config;
-use netkat::{CompiledTable, Field, Loc, LocatedView, Packet, PacketArena, PacketId};
+use netkat::{CompiledTable, Field, Loc, LocatedView, LookupStats, Packet, PacketArena, PacketId};
 use netsim::{table_outputs, CtrlMsg, DataPlane, SimTime, StepResult, StepResultId};
 
 /// A data plane that forwards under a single fixed [`Config`].
@@ -20,6 +20,8 @@ pub struct StaticDataPlane {
     /// packets are built here; a steady-state hop allocates nothing.
     lookup_buf: Packet,
     out_buf: Packet,
+    /// This plane's fingerprint probe outcomes.
+    lookups: LookupStats,
 }
 
 impl StaticDataPlane {
@@ -29,7 +31,12 @@ impl StaticDataPlane {
     pub fn new(config: Config) -> StaticDataPlane {
         let index =
             config.into_tables().map(|(sw, t)| (sw, CompiledTable::from_rules(t))).collect();
-        StaticDataPlane { index, lookup_buf: Packet::new(), out_buf: Packet::new() }
+        StaticDataPlane {
+            index,
+            lookup_buf: Packet::new(),
+            out_buf: Packet::new(),
+            lookups: LookupStats::default(),
+        }
     }
 }
 
@@ -37,7 +44,11 @@ impl DataPlane for StaticDataPlane {
     fn process(&mut self, sw: u64, pt: u64, packet: Packet, _: bool, _: SimTime) -> StepResult {
         let mut lookup = packet;
         lookup.set_loc(Loc::new(sw, pt));
-        let rule = self.index.get(&sw).and_then(|t| t.lookup_on(&lookup));
+        let lookups = &mut self.lookups;
+        let rule = self
+            .index
+            .get(&sw)
+            .and_then(|t| t.lookup_index_tallied(&lookup, lookups).map(|i| t.rule(i)));
         let mut out = Vec::new();
         if let Some(rule) = rule {
             rule.actions.apply_into(&lookup, &mut out);
@@ -82,7 +93,11 @@ impl DataPlane for StaticDataPlane {
         let loc = Loc::new(sw, pt);
         let base = arena.get(packet);
         let view = LocatedView { base, loc, tag: None };
-        let rule = self.index.get(&sw).and_then(|t| t.lookup_on(&view));
+        let lookups = &mut self.lookups;
+        let rule = self
+            .index
+            .get(&sw)
+            .and_then(|t| t.lookup_index_tallied(&view, lookups).map(|i| t.rule(i)));
         if let Some(rule) = rule {
             if rule.actions.len() == 1 {
                 let action = rule.actions.iter().next().expect("len 1");
@@ -133,16 +148,10 @@ impl DataPlane for StaticDataPlane {
     fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime) {}
 
     /// Reports the compiled lookup index's fingerprint probe outcomes,
-    /// summed over the per-switch tables.
+    /// summed over every lookup this plane instance made.
     fn contribute_metrics(&self, reg: &mut edn_obs::Registry) {
-        let (mut hits, mut fallbacks) = (0u64, 0u64);
-        for table in self.index.values() {
-            let (h, f) = table.lookup_stats();
-            hits += h;
-            fallbacks += f;
-        }
-        reg.counter_add(edn_obs::Scope::Shard, "flowindex.fp_hits", hits);
-        reg.counter_add(edn_obs::Scope::Shard, "flowindex.fp_fallbacks", fallbacks);
+        reg.counter_add(edn_obs::Scope::Shard, "flowindex.fp_hits", self.lookups.fp_hits);
+        reg.counter_add(edn_obs::Scope::Shard, "flowindex.fp_fallbacks", self.lookups.fp_fallbacks);
     }
 }
 

@@ -82,16 +82,16 @@ impl DataPlane for UncoordDataPlane {
         if !matched.is_empty() {
             notifications.push(CtrlMsg::Events(matched.bits()));
         }
-        // Forwarding under the stale per-switch configuration.
-        let tag = self.current_tag(sw);
-        let config = self.compiled.nes().config(self.compiled.set_of(tag));
+        // Forwarding under the stale per-switch configuration: the first
+        // matching entry of the switch's versioned table that the
+        // installed tag owns.
+        let tag = self.current_tag(sw) as usize;
         let mut lookup = packet;
         lookup.set_loc(loc);
-        let Some(table) = config.table(sw) else {
-            return StepResult { outputs: Vec::new(), notifications };
-        };
         let mut out = Vec::new();
-        table.apply_into(&lookup, &mut out);
+        if let Some(rule) = self.compiled.nes().table(sw).and_then(|t| t.lookup_on(tag, &lookup)) {
+            rule.actions.apply_into(&lookup, &mut out);
+        }
         StepResult { outputs: table_outputs(pt, out), notifications }
     }
 

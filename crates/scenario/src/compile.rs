@@ -258,57 +258,45 @@ impl CompiledScenario {
             }
         }
 
-        // Per-state configurations: full shortest paths, minus rules toward
-        // still-blocked victims, with moved hosts' rules re-pointed at
-        // their twins.
+        // The campaign's rules, each with the configurations that hold it
+        // (configuration `k` runs once steps `0..k` have fired): the full
+        // shortest paths, a victim's rules only from the configuration its
+        // step unblocks, and a moved host's rules re-pointed at its twin
+        // from its move on. Each configuration's table is the subsequence
+        // of one switch's routing list, so none is built per step.
         let full = shortest_path_rules(&run);
+        let configs = steps.len() + 1;
+        let changed_at: BTreeMap<u64, usize> =
+            steps.iter().enumerate().map(|(i, s)| (s.target.host(), i + 1)).collect();
         let rehomed: BTreeMap<u64, BTreeMap<u64, Rule>> =
             mover_ids.iter().map(|&h| (h, rehomed_rules(&run, h))).collect();
-        let state_rules = |blocked: &BTreeSet<u64>, moved: &BTreeSet<u64>| {
-            let mut out: BTreeMap<u64, Vec<Rule>> = BTreeMap::new();
-            for (&sw, list) in &full {
-                let mut rules = Vec::with_capacity(list.len());
-                for r in list {
-                    let dst = r.pattern.get(Field::IpDst).expect("routing rules match ip_dst");
-                    if dst >= edn_topo::MOBILE_TWIN_OFFSET || blocked.contains(&dst) {
-                        continue; // twins are never addressed directly
-                    }
-                    if moved.contains(&dst) {
-                        if let Some(r2) = rehomed[&dst].get(&sw) {
-                            rules.push(r2.clone());
-                        }
-                    } else {
-                        rules.push(r.clone());
-                    }
+        let mut rules = Vec::new();
+        for (&sw, list) in &full {
+            for r in list {
+                let dst = r.pattern.get(Field::IpDst).expect("routing rules match ip_dst");
+                if dst >= edn_topo::MOBILE_TWIN_OFFSET {
+                    continue; // twins are never addressed directly
                 }
-                out.insert(sw, rules);
+                match (changed_at.get(&dst), rehomed.get(&dst)) {
+                    (Some(&at), Some(moves)) => {
+                        rules.push((sw, r.clone(), 0..at));
+                        if let Some(r2) = moves.get(&sw) {
+                            rules.push((sw, r2.clone(), at..configs));
+                        }
+                    }
+                    (Some(&at), None) => rules.push((sw, r.clone(), at..configs)),
+                    (None, _) => rules.push((sw, r.clone(), 0..configs)),
+                }
             }
-            out
-        };
-        let mut blocked: BTreeSet<u64> = victims.iter().copied().collect();
-        let mut moved: BTreeSet<u64> = BTreeSet::new();
-        let initial = config_from_rules(&run, state_rules(&blocked, &moved));
+        }
+        let network = config_from_rules(&run, full.keys().map(|&sw| (sw, Vec::new())).collect());
         let trigger_host = hosts[0];
         let trigger_dst = hosts[1];
         let trigger_loc = run.attachment(trigger_host).expect("generated hosts are attached");
-        let mut campaign_steps = Vec::with_capacity(steps.len());
-        for (i, step) in steps.iter().enumerate() {
-            match step.target {
-                StepTarget::Unblock(h) => {
-                    blocked.remove(&h);
-                }
-                StepTarget::Move { host, .. } => {
-                    moved.insert(host);
-                }
-            }
-            campaign_steps.push(CampaignStep {
-                trigger: campaign_pred(i),
-                loc: trigger_loc,
-                config: config_from_rules(&run, state_rules(&blocked, &moved)),
-            });
-        }
-        let nes = campaign_nes(initial, campaign_steps)
-            .map_err(|e| ScenarioError::Invalid(format!("campaign NES rejected: {e:?}")))?;
+        let campaign_steps = (0..steps.len())
+            .map(|i| CampaignStep { trigger: campaign_pred(i), loc: trigger_loc })
+            .collect();
+        let nes = campaign_nes(&network, rules, campaign_steps);
 
         // Trigger and probe injections.
         let mut triggers = Vec::with_capacity(steps.len());

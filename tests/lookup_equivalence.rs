@@ -56,10 +56,11 @@ fn assert_traces_follow_spec<'a>(
 /// was looked up under is not in the trace, so some configuration of the
 /// NES must admit it.
 fn assert_nes_traces_follow_spec(scenario: &str, ntr: &NetworkTrace, nes: &CompiledNes) {
-    let config = |tag: u64| nes.nes().config(nes.set_of(tag));
+    let configs: Vec<Config> =
+        (0..nes.tag_count() as u64).map(|tag| nes.nes().config(nes.set_of(tag))).collect();
     let checked = assert_traces_follow_spec(scenario, ntr, |tag| match tag {
-        Some(tag) => vec![config(tag)],
-        None => (0..nes.tag_count() as u64).map(config).collect(),
+        Some(tag) => vec![&configs[tag as usize]],
+        None => configs.iter().collect(),
     });
     assert!(checked > 0, "{scenario}: the run must record packet traces");
 }
